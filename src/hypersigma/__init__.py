@@ -3,6 +3,7 @@ scaling symmetries, and statistical verification checks."""
 
 from .core import (
     CartesianPoint,
+    EstimationError,
     FieldConfig,
     InversionError,
     build_A,
@@ -41,10 +42,8 @@ from .quadrature import (
 from .sampler import (
     ChainConfig,
     Estimate,
-    EstimationError,
     expect,
     expect_importance,
-    expect_ratio,
     fermion_weight,
     gelman_rubin,
     grassmann_reduce,

@@ -29,7 +29,13 @@ __all__ = [
     "to_cartesian",
     "s_cart",
     "InversionError",
+    "EstimationError",
 ]
+
+
+class EstimationError(RuntimeError):
+    """A field kernel or an estimator met an overflow, a matrix that is not
+    positive definite, or a non-finite value."""
 
 
 class InversionError(RuntimeError):
@@ -57,27 +63,33 @@ class FieldConfig:
 
 
 def build_A(g: Graph, u: np.ndarray) -> np.ndarray:
-    """Weighted coupling matrix: off-diagonal -W_ij e^{u_i+u_j}, rows sum to 0."""
+    """Weighted coupling matrix: off-diagonal -W_ij e^{u_i+u_j}, rows sum to 0.
+
+    `u` has shape (..., n_total); the result has shape (..., n_total, n_total).
+    """
     eu = np.exp(np.asarray(u, dtype=float))
-    a = -g.weights * np.outer(eu, eu)
-    np.fill_diagonal(a, 0.0)
-    np.fill_diagonal(a, -a.sum(axis=1))
+    a = -g.weights * (eu[..., :, None] * eu[..., None, :])
+    n = g.n_total
+    # the diagonal as a strided view of the flattened (contiguous) matrices
+    a.reshape(a.shape[:-2] + (n * n,))[..., :: n + 1] = -a.sum(axis=-1)
     return a
 
 
 def compute_beta(g: Graph, u: np.ndarray) -> np.ndarray:
-    """beta_i = (1/2) sum_j W_ij e^{u_j - u_i}, restricted to the inner vertices."""
-    u = np.asarray(u, dtype=float)
-    eu = np.exp(u)
-    return 0.5 * (g.weights @ eu / eu)[:-1]
+    """beta_i = (1/2) sum_j W_ij e^{u_j - u_i} on the inner vertices; u is (..., n_total)."""
+    eu = np.exp(np.asarray(u, dtype=float))
+    return 0.5 * ((eu @ g.weights) / eu)[..., :-1]
 
 
 def compute_theta(g: Graph, u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """theta = e^{-u} A(u) s on inner vertices; equals sum_j W_ij e^{u_j}(s_i - s_j)."""
+    """theta = e^{-u} A(u) s on inner vertices; equals sum_j W_ij e^{u_j}(s_i - s_j).
+
+    u and s have shape (..., n_total).
+    """
     u = np.asarray(u, dtype=float)
     s = np.asarray(s, dtype=float)
-    a = build_A(g, u)
-    return (np.exp(-u) * (a @ s))[:-1]
+    a_s = np.einsum("...ij,...j->...i", build_A(g, u), s)
+    return (np.exp(-u) * a_s)[..., :-1]
 
 
 def h_beta(g: Graph, u: np.ndarray) -> np.ndarray:
@@ -87,25 +99,53 @@ def h_beta(g: Graph, u: np.ndarray) -> np.ndarray:
     return emu[:, None] * build_A(g, u) * emu[None, :]
 
 
-def _logdet_psd(m: np.ndarray) -> float:
-    chol = np.linalg.cholesky(m)
-    return 2.0 * np.log(np.diag(chol)).sum()
+def _avv_logdet(g: Graph, u_inner: np.ndarray):
+    """A_VV(u) and log det A_VV(u) for u_inner of shape (..., n_inner).
+
+    The pinned component of u is 0.  Closed-form determinants for n_inner <= 3,
+    an LU factorization (slogdet) above.  Raises EstimationError when A_VV
+    overflows or its determinant is not positive.
+    """
+    u_inner = np.asarray(u_inner, dtype=float)
+    u = np.concatenate([u_inner, np.zeros(u_inner.shape[:-1] + (1,))], axis=-1)
+    avv = build_A(g, u)[..., :-1, :-1]
+    n = g.n_inner
+    if n > 3:
+        sign, logdet = np.linalg.slogdet(avv)
+        ok = sign.min() > 0.0 and np.isfinite(logdet).all()
+    else:
+        if n == 1:
+            det = avv[..., 0, 0]
+        elif n == 2:
+            det = avv[..., 0, 0] * avv[..., 1, 1] - avv[..., 0, 1] * avv[..., 1, 0]
+        else:
+            a, b, c = avv[..., 0, 0], avv[..., 0, 1], avv[..., 0, 2]
+            d, e, f = avv[..., 1, 0], avv[..., 1, 1], avv[..., 1, 2]
+            g_, h, i = avv[..., 2, 0], avv[..., 2, 1], avv[..., 2, 2]
+            det = a * (e * i - f * h) - b * (d * i - f * g_) + c * (d * h - e * g_)
+        # NaN fails both comparisons
+        ok = det.min() > 0.0 and det.max() < np.inf
+        logdet = np.log(det) if ok else None
+    if not ok:
+        raise EstimationError("A_VV overflowed or lost positive definiteness")
+    return avv, logdet
 
 
 def log_rho_density(g: Graph, cfg: FieldConfig, mode: str = "direct") -> float:
-    """log of the model density, in one of three equivalent representations."""
+    """log of the model density, in one of three equivalent representations.
+
+    Raises EstimationError when A_VV(u) overflows or is not positive definite.
+    """
     u, s = cfg.u, cfg.s
-    a = build_A(g, u)
-    avv = a[:-1, :-1]
-    logdet = _logdet_psd(avv)
+    _, logdet = _avv_logdet(g, u[:-1])
     if mode == "direct":
-        acc = 0.0
-        for i, j, w in g.edges():
-            acc -= w * (np.cosh(u[i] - u[j]) - 1.0 + 0.5 * (s[i] - s[j]) ** 2 * np.exp(u[i] + u[j]))
-        return logdet + acc
+        i, j, w = g.edge_arrays
+        coup = np.cosh(u[i] - u[j]) - 1.0 + 0.5 * (s[i] - s[j]) ** 2 * np.exp(u[i] + u[j])
+        return float(logdet - w @ coup)
     if mode == "quadratic":
+        a = build_A(g, u)
         emu = np.exp(-u)
-        return logdet - 0.5 * s @ a @ s - 0.5 * emu @ a @ emu
+        return float(logdet - 0.5 * s @ a @ s - 0.5 * emu @ a @ emu)
     if mode == "spinor":
         acc = 0.0
         for i, j, w in g.edges():
@@ -114,12 +154,15 @@ def log_rho_density(g: Graph, cfg: FieldConfig, mode: str = "direct") -> float:
             mi = vi @ vi.T * np.exp(u[i])
             mj = vj @ vj.T * np.exp(u[j])
             acc += 0.5 * w * np.linalg.det(mi - mj)
-        return logdet + acc
+        return float(logdet + acc)
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def rho_density(g: Graph, cfg: FieldConfig, mode: str = "direct") -> float:
-    """exp of log_rho_density; underflows to 0.0 for extreme fields."""
+    """exp of log_rho_density; underflows to 0.0 for extreme fields.
+
+    Raises EstimationError when A_VV(u) overflows or is not positive definite.
+    """
     logval = log_rho_density(g, cfg, mode)
     if logval < -745.0:  # exp underflow threshold for float64
         return 0.0
@@ -212,10 +255,6 @@ class CartesianPoint:
     z: tuple  # even GrassmannElements
     xi: tuple  # odd GrassmannElements
     eta: tuple
-
-    @property
-    def x_body(self) -> np.ndarray:
-        return np.array([xe.body for xe in self.x])
 
 
 def to_cartesian(cfg: FieldConfig, psibar=None, psi=None, algebra: GeneratorSet | None = None) -> CartesianPoint:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,13 +72,17 @@ class Graph:
     def pinned_id(self) -> str:
         return self.vertex_ids[-1]
 
+    @cached_property
+    def edge_arrays(self):
+        """Undirected edges as arrays (i, j, w) with i < j and w > 0, in
+        row-major order; built once per graph for the vectorized kernels."""
+        i, j = np.nonzero(np.triu(self.weights, 1))
+        return i, j, self.weights[i, j]
+
     def edges(self):
         """Undirected edges (i, j, w) with i < j and w > 0."""
-        n = self.n_total
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.weights[i, j] > 0:
-                    yield i, j, self.weights[i, j]
+        i, j, w = self.edge_arrays
+        yield from zip(i.tolist(), j.tolist(), w)
 
     def index_of(self, vertex_id: str) -> int:
         return self.vertex_ids.index(vertex_id)

@@ -8,14 +8,14 @@ their superdeterminant, and the supergroup of [a, b, chi_bar, chi] matrices.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "GeneratorSet",
     "GrassmannElement",
+    "as_even",
     "SuperMatrix",
     "GroupElement",
     "berezin",
@@ -111,8 +111,9 @@ class GrassmannElement:
     def __init__(self, algebra: GeneratorSet, coeffs: dict):
         self.algebra = algebra
         scale = max((abs(c) for c in coeffs.values()), default=0.0)
-        tol = PRUNE_TOL * scale
-        self.coeffs = {m: c for m, c in coeffs.items() if abs(c) > tol}
+        # NaN and infinite coefficients are kept, so estimators can reject them
+        tol = PRUNE_TOL * scale if scale < math.inf else 0.0
+        self.coeffs = {m: c for m, c in coeffs.items() if not abs(c) <= tol}
 
     # -- structure ---------------------------------------------------------
 
@@ -132,9 +133,6 @@ class GrassmannElement:
 
     def is_zero(self, tol: float = EQ_TOL) -> bool:
         return all(abs(c) <= tol for c in self.coeffs.values())
-
-    def max_degree(self) -> int:
-        return max((m.bit_count() for m in self.coeffs), default=0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -282,9 +280,6 @@ class GrassmannElement:
 
     # -- misc --------------------------------------------------------------
 
-    def map_coeffs(self, f: Callable) -> "GrassmannElement":
-        return GrassmannElement(self.algebra, {m: f(c) for m, c in self.coeffs.items()})
-
     def embed(self, target: GeneratorSet) -> "GrassmannElement":
         """Re-express over a larger algebra containing the same generator names."""
         perm = [target.index[name] for name in self.algebra.names]
@@ -348,6 +343,13 @@ class GrassmannElement:
             mono = "*".join(names) if names else "1"
             parts.append(f"{c!r}*{mono}")
         return " + ".join(parts)
+
+
+def as_even(x, algebra: GeneratorSet) -> GrassmannElement:
+    """Lift a number or an element to an even element of `algebra`."""
+    if isinstance(x, GrassmannElement):
+        return x if x.algebra == algebra else x.embed(algebra)
+    return algebra.scalar(x)
 
 
 def _exp(b):
@@ -623,7 +625,3 @@ class GroupElement:
 
     def __repr__(self) -> str:
         return f"GroupElement({self.quads!r})"
-
-
-def element_to_json_str(x: GrassmannElement) -> str:
-    return json.dumps(x.to_json())

@@ -37,6 +37,22 @@ def _gauss_grid(lo: float, hi: float, n: int):
     return mid + half * x, half * w
 
 
+def _restrict(x: GrassmannElement, param_algebra: GeneratorSet) -> GrassmannElement:
+    """Coefficients of x on monomials of the parameter generators only, over
+    `param_algebra` (the integrated generators are fully reduced); x itself
+    when there are no parameter generators."""
+    if not param_algebra.names:
+        return x
+    coeffs = {}
+    for names, cval in x.subsets():
+        if all(nm in param_algebra.index for nm in names):
+            mask = 0
+            for nm in names:
+                mask |= 1 << param_algebra.index[nm]
+            coeffs[mask] = cval
+    return GrassmannElement(param_algebra, coeffs)
+
+
 def _total_weight(g: Graph) -> float:
     return float(g.weights[0, :].sum())
 
@@ -108,18 +124,7 @@ def super_expect_quadrature_1v(
             factor = wu * wt * sigma * math.exp(-u1) * rho / (avv[0, 0] * 2.0 * math.pi)
             for m, cval in reduced.coeffs.items():
                 acc[m] = acc.get(m, 0.0) + factor * cval
-    out = GrassmannElement(algebra, acc)
-    # restrict to the parameter generators (psi sector is fully reduced)
-    if param_algebra.names:
-        coeffs = {}
-        for names, cval in out.subsets():
-            if all(nm in param_algebra.index for nm in names):
-                mask = 0
-                for nm in names:
-                    mask |= 1 << param_algebra.index[nm]
-                coeffs[mask] = cval
-        return GrassmannElement(param_algebra, coeffs)
-    return out
+    return _restrict(GrassmannElement(algebra, acc), param_algebra)
 
 
 def cartesian_expect_quadrature_1v(
@@ -158,17 +163,7 @@ def cartesian_expect_quadrature_1v(
             factor = wr * phi_w * r / (2.0 * math.pi)
             for m, cval in reduced.coeffs.items():
                 acc[m] = acc.get(m, 0.0) + factor * cval
-    out = GrassmannElement(base, acc)
-    if param_algebra.names:
-        coeffs = {}
-        for names, cval in out.subsets():
-            if all(nm in param_algebra.index for nm in names):
-                mask = 0
-                for nm in names:
-                    mask |= 1 << param_algebra.index[nm]
-                coeffs[mask] = cval
-        return GrassmannElement(param_algebra, coeffs)
-    return out
+    return _restrict(GrassmannElement(base, acc), param_algebra)
 
 
 def zeta_integral_1v(f, n_u: int = 240, n_s: int = 240, u_lim: float = 14.0, s_lim: float = 14.0, s_center=None):

@@ -11,10 +11,11 @@ stochastic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import EstimationError, _avv_logdet
 from .grassmann import GeneratorSet, GrassmannElement, berezin_pairs
 from .graphs import Graph
 
@@ -24,16 +25,11 @@ __all__ = [
     "sample_u",
     "sample_s_given_u",
     "expect",
-    "expect_ratio",
     "expect_importance",
     "super_expect",
     "gelman_rubin",
     "EstimationError",
 ]
-
-
-class EstimationError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -65,58 +61,20 @@ class Estimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _batched_logdet(avv: np.ndarray) -> np.ndarray:
-    """log det of a stack of SPD matrices; closed forms for n <= 3."""
-    n = avv.shape[-1]
-    if n == 1:
-        return np.log(avv[..., 0, 0])
-    if n == 2:
-        det = avv[..., 0, 0] * avv[..., 1, 1] - avv[..., 0, 1] * avv[..., 1, 0]
-        return np.log(det)
-    if n == 3:
-        a, b, c = avv[..., 0, 0], avv[..., 0, 1], avv[..., 0, 2]
-        d, e, f = avv[..., 1, 0], avv[..., 1, 1], avv[..., 1, 2]
-        g, h, i = avv[..., 2, 0], avv[..., 2, 1], avv[..., 2, 2]
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        return np.log(det)
-    sign, logdet = np.linalg.slogdet(avv)
-    if np.any(sign <= 0):
-        raise EstimationError("A_VV lost positive definiteness")
-    return logdet
-
-
-def _batched_avv(g: Graph, u_inner: np.ndarray) -> np.ndarray:
-    """Stack of inner coupling matrices for u of shape (..., n_inner)."""
-    n = g.n_total
-    u_full = np.concatenate([u_inner, np.zeros(u_inner.shape[:-1] + (1,))], axis=-1)
-    eu = np.exp(u_full)
-    a = -g.weights * (eu[..., :, None] * eu[..., None, :])
-    diag = -a.sum(axis=-1)
-    a[..., np.arange(n), np.arange(n)] = diag
-    return a[..., :-1, :-1]
-
-
-def _log_target(g: Graph, u_inner: np.ndarray, linear_shift: np.ndarray | None = None) -> np.ndarray:
+def _log_target(g: Graph, u_inner: np.ndarray) -> np.ndarray:
     """Log density of the u-marginal (up to a constant).
 
     Obtained by integrating the Gaussian s-sector out of the model measure:
     (1/2) log det A_VV(u) - sum_edges W [cosh(u_i - u_j) - 1] - sum_V u_i.
-    `linear_shift` adds <shift, u> for exponentially tilted importance
-    sampling; estimators must divide the reweighting factor back out.
     """
-    avv = _batched_avv(g, u_inner)
-    logdet = _batched_logdet(avv)
+    _, logdet = _avv_logdet(g, u_inner)
     u_full = np.concatenate([u_inner, np.zeros(u_inner.shape[:-1] + (1,))], axis=-1)
-    acc = np.zeros(u_inner.shape[:-1])
-    for i, j, w in g.edges():
-        acc -= w * (np.cosh(u_full[..., i] - u_full[..., j]) - 1.0)
-    out = 0.5 * logdet + acc - u_inner.sum(axis=-1)
-    if linear_shift is not None:
-        out = out + u_inner @ linear_shift
-    return out
+    i, j, w = g.edge_arrays
+    edge_sum = (w * (np.cosh(u_full[..., i] - u_full[..., j]) - 1.0)).sum(axis=-1)
+    return 0.5 * logdet - edge_sum - u_inner.sum(axis=-1)
 
 
-def _run_chains(g: Graph, cc: ChainConfig, linear_shift: np.ndarray | None = None):
+def _run_chains(g: Graph, cc: ChainConfig):
     """Vectorized Metropolis chains.
 
     Returns (samples with shape (n_chains, per_chain, n_inner), acceptance
@@ -126,11 +84,10 @@ def _run_chains(g: Graph, cc: ChainConfig, linear_shift: np.ndarray | None = Non
     n = g.n_inner
     c = cc.n_chains
     per_chain = -(-cc.n_samples // c)
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cc.seed).spawn(c)]
     rng = np.random.default_rng(np.random.SeedSequence((cc.seed, 0x5EED)))
 
     u = 0.1 * rng.standard_normal((c, n))
-    logp = _log_target(g, u, linear_shift)
+    logp = _log_target(g, u)
     scale = np.full(c, cc.proposal_scale)
 
     accepted = np.zeros(c)
@@ -139,7 +96,7 @@ def _run_chains(g: Graph, cc: ChainConfig, linear_shift: np.ndarray | None = Non
     def step(tune: bool):
         nonlocal u, logp, accepted, proposed
         prop = u + scale[:, None] * rng.standard_normal((c, n))
-        logp_prop = _log_target(g, prop, linear_shift)
+        logp_prop = _log_target(g, prop)
         accept = np.log(rng.random(c)) < logp_prop - logp
         u = np.where(accept[:, None], prop, u)
         logp = np.where(accept, logp_prop, logp)
@@ -169,31 +126,32 @@ def sample_u(g: Graph, cc: ChainConfig) -> np.ndarray:
     return np.concatenate([flat, np.zeros((len(flat), 1))], axis=1)
 
 
-def sample_s_given_u(g: Graph, u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Exact conditional draw: s_V Gaussian with covariance A_VV(u)^{-1}."""
-    u = np.asarray(u, dtype=float)
-    avv = _batched_avv(g, u[None, :-1])[0]
+def _draw_s(g: Graph, u_inner: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """s with covariance A_VV(u)^{-1} on the inner vertices from standard
+    normals z (both shaped (..., n_inner)); the pinned column is appended as 0."""
+    avv, _ = _avv_logdet(g, u_inner)
     try:
         chol = np.linalg.cholesky(avv)
     except np.linalg.LinAlgError as exc:
         raise EstimationError("A_VV not positive definite") from exc
-    z = rng.standard_normal(g.n_inner)
-    s = np.zeros(g.n_total)
-    s[:-1] = np.linalg.solve(chol.T, z)
-    return s
+    s_inner = np.linalg.solve(np.swapaxes(chol, -1, -2), z[..., None])[..., 0]
+    return np.concatenate([s_inner, np.zeros(s_inner.shape[:-1] + (1,))], axis=-1)
 
 
-def _sample_us_chains(g: Graph, cc: ChainConfig, linear_shift=None):
+def sample_s_given_u(g: Graph, u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Exact conditional draw: s_V Gaussian with covariance A_VV(u)^{-1}."""
+    u = np.asarray(u, dtype=float)
+    return _draw_s(g, u[:-1], rng.standard_normal(g.n_inner))
+
+
+def _sample_us_chains(g: Graph, cc: ChainConfig):
     """(u, s) samples keeping chain structure: two arrays (c, m, n_total)."""
-    chains, rate = _run_chains(g, cc, linear_shift)
+    chains, rate = _run_chains(g, cc)
     c, m, n = chains.shape
-    avv = _batched_avv(g, chains.reshape(-1, n))
-    chol = np.linalg.cholesky(avv)
     rng = np.random.default_rng(np.random.SeedSequence((cc.seed, 0x5)))
     z = rng.standard_normal((c * m, n))
-    s_inner = np.linalg.solve(np.swapaxes(chol, -1, -2), z[..., None])[..., 0]
+    s_full = _draw_s(g, chains.reshape(-1, n), z).reshape(c, m, n + 1)
     u_full = np.concatenate([chains, np.zeros((c, m, 1))], axis=-1)
-    s_full = np.concatenate([s_inner.reshape(c, m, n), np.zeros((c, m, 1))], axis=-1)
     return u_full, s_full, rate
 
 
@@ -217,54 +175,23 @@ def expect(g: Graph, observable, cc: ChainConfig) -> Estimate:
     """Monte-Carlo mean of a real/complex observable of (u, s).
 
     `observable(u, s)` must accept batched arrays of shape (N, n_total) and
-    return a vector of length N.
+    return a vector of length N, or an (N, k) array of k observables read
+    from the same draws; then mean and stderr are arrays of length k and
+    n_effective is the smallest over the columns.
     """
     u, s, rate = _sample_us_chains(g, cc)
     c, m, n = u.shape
     vals = np.asarray(observable(u.reshape(-1, n), s.reshape(-1, n)))
     if not np.all(np.isfinite(np.abs(vals))):
         raise EstimationError("observable produced NaN/Inf values")
-    vals = vals.reshape(c, m)
-    mean, stderr, n_eff = _batch_means(vals, c)
+    vals = vals.reshape((c, m) + vals.shape[1:])
+    if vals.ndim == 2:
+        mean, stderr, n_eff = _batch_means(vals, c)
+    else:
+        cols = [_batch_means(vals[:, :, k], c) for k in range(vals.shape[2])]
+        mean, stderr, n_effs = (np.array(x) for x in zip(*cols))
+        n_eff = float(n_effs.min())
     return Estimate(mean=mean, stderr=stderr, n_effective=n_eff, seed=cc.seed, acceptance_rate=rate)
-
-
-def expect_ratio(g: Graph, numerator, denominator, cc: ChainConfig, linear_shift=None) -> Estimate:
-    """Ratio estimator E[num]/E[den] over a common (optionally tilted) chain.
-
-    With `linear_shift` = k the chain targets the u-marginal times e^{<k, u>},
-    which moves mass into the tails that dominate heavy observables; both
-    integrands must already carry the e^{-<k, u>} reweighting.  The standard
-    error combines batch-means variances of numerator and denominator with
-    their covariance (delta method).
-    """
-    shift = None if linear_shift is None else np.asarray(linear_shift, dtype=float)
-    u, s, rate = _sample_us_chains(g, cc, shift)
-    c, m, n = u.shape
-    num = np.asarray(numerator(u.reshape(-1, n), s.reshape(-1, n)))
-    den = np.asarray(denominator(u.reshape(-1, n), s.reshape(-1, n)))
-    if not (np.all(np.isfinite(np.abs(num))) and np.all(np.isfinite(np.abs(den)))):
-        raise EstimationError("observable produced NaN/Inf values")
-    num = num.reshape(c, m)
-    den = den.reshape(c, m)
-
-    per_chain_batches = max(32 // c, 2)
-    bs = max(m // per_chain_batches, 1)
-    usable = (m // bs) * bs
-    bn = num[:, :usable].reshape(c, -1, bs).mean(axis=2).reshape(-1)
-    bd = den[:, :usable].reshape(c, -1, bs).mean(axis=2).reshape(-1)
-    mean_n = num[:, :usable].mean()
-    mean_d = den[:, :usable].mean()
-    if abs(mean_d) == 0.0:
-        raise EstimationError("denominator mean vanished")
-    ratio = mean_n / mean_d
-    nb = len(bn)
-    var_n = np.abs(bn - mean_n).__pow__(2).sum() / (nb * (nb - 1))
-    var_d = np.abs(bd - mean_d).__pow__(2).sum() / (nb * (nb - 1))
-    cov = (np.conj(bn - mean_n) * (bd - mean_d)).sum().real / (nb * (nb - 1))
-    var_r = (var_n + np.abs(ratio) ** 2 * var_d - 2.0 * (np.conj(ratio) * cov).real) / np.abs(mean_d) ** 2
-    stderr = float(np.sqrt(max(var_r, 0.0)))
-    return Estimate(mean=ratio, stderr=stderr, n_effective=float(nb), seed=cc.seed, acceptance_rate=rate)
 
 
 def _log_target_hessian(g: Graph, c: np.ndarray, step: float = 1e-4) -> np.ndarray:
@@ -326,12 +253,8 @@ def expect_importance(g: Graph, observable, cc: ChainConfig, sigma: float = 1.5,
     lw = np.clip(logp, -700.0, None) - logq
     w = np.exp(lw - lw.max())
 
-    avv = _batched_avv(g, ui)
-    chol = np.linalg.cholesky(avv)
-    z = rng.standard_normal((cc.n_samples, n))
-    s_inner = np.linalg.solve(np.swapaxes(chol, -1, -2), z[..., None])[..., 0]
+    s_full = _draw_s(g, ui, rng.standard_normal((cc.n_samples, n)))
     u_full = np.concatenate([ui, np.zeros((cc.n_samples, 1))], axis=1)
-    s_full = np.concatenate([s_inner, np.zeros((cc.n_samples, 1))], axis=1)
 
     vals = np.asarray(observable(u_full, s_full))
     if not np.all(np.isfinite(np.abs(vals))):
@@ -431,8 +354,8 @@ def super_expect(g: Graph, f, param_algebra: GeneratorSet, cc: ChainConfig, soul
     algebra = psi_algebra(g, param_algebra)
     u, s, rate = _sample_us_chains(g, cc)
     c, m, n = u.shape
-    avv = _batched_avv(g, u.reshape(-1, n)[:, :-1])
-    logdet = _batched_logdet(avv).reshape(c, m)
+    _, logdet = _avv_logdet(g, u.reshape(-1, n)[:, :-1])
+    logdet = logdet.reshape(c, m)
 
     psibar, psi = psi_vectors(g, algebra)
     lifted_souls = None
@@ -471,6 +394,8 @@ def super_expect(g: Graph, f, param_algebra: GeneratorSet, cc: ChainConfig, soul
         reduced = reduced * math.exp(-logdet[k // m, k % m])
         record(k, reduced)
 
+    if not all(np.all(np.isfinite(vals)) for vals in series.values()):
+        raise EstimationError("observable produced NaN/Inf values")
     mean: dict = {}
     stderr: dict = {}
     n_eff = float(c * m)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FieldConfig, compute_beta, compute_theta, h_beta
-from .grassmann import DomainError, GeneratorSet, GrassmannElement
+from .grassmann import DomainError, GeneratorSet, GrassmannElement, as_even
 from .graphs import Graph
 
 __all__ = [
@@ -72,12 +72,6 @@ def rescale_weights(p: ScaleParams, g: Graph) -> Graph:
     return Graph(g.vertex_ids, g.weights * np.outer(p.a, p.a))
 
 
-def _as_even(x, algebra: GeneratorSet) -> GrassmannElement:
-    if isinstance(x, GrassmannElement):
-        return x.embed(algebra)
-    return algebra.scalar(float(x))
-
-
 def laplace_closed_form(g: Graph, p, chibar=None, chi=None, algebra: GeneratorSet | None = None):
     """Closed-form joint Laplace transform of (beta, theta) and, with odd
     parameters, of the odd observables as well.
@@ -93,10 +87,10 @@ def laplace_closed_form(g: Graph, p, chibar=None, chi=None, algebra: GeneratorSe
     a, b = (p.a, p.b) if isinstance(p, ScaleParams) else p
     n = g.n_total
     if chibar is None and chi is None and not any(isinstance(x, GrassmannElement) for x in list(a) + list(b)):
-        acc = 0.0
-        for i, j, w in g.edges():
-            acc -= w * (a[i] * a[j] + b[i] * b[j] - 1.0)
-        return math.exp(acc) / float(np.prod(np.asarray(a, dtype=float)[:-1]))
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        i, j, w = g.edge_arrays
+        return math.exp(-(w * (a[i] * a[j] + b[i] * b[j] - 1.0)).sum()) / float(np.prod(a[:-1]))
     if algebra is None:
         pool = [x for x in list(a) + list(b) + list(chibar or []) + list(chi or []) if isinstance(x, GrassmannElement)]
         if not pool:
@@ -107,8 +101,8 @@ def laplace_closed_form(g: Graph, p, chibar=None, chi=None, algebra: GeneratorSe
         chibar = [zero] * n
     if chi is None:
         chi = [zero] * n
-    ae = [_as_even(x, algebra) for x in a]
-    be = [_as_even(x, algebra) for x in b]
+    ae = [as_even(x, algebra) for x in a]
+    be = [as_even(x, algebra) for x in b]
     chibar = [x.embed(algebra) for x in chibar]
     chi = [x.embed(algebra) for x in chi]
     for x in ae:

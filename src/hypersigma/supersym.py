@@ -9,7 +9,7 @@ statistical comparisons are reported coefficient-by-coefficient with z-scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,9 +20,10 @@ from .grassmann import (
     GrassmannElement,
     GroupElement,
     SuperMatrix,
+    as_even,
 )
 from .graphs import Graph, GraphTower, extend_alpha, wired_subgraph
-from .sampler import ChainConfig, Estimate, expect, expect_importance, fermion_weight, super_expect
+from .sampler import ChainConfig, Estimate, _log_target, expect, expect_importance, fermion_weight, super_expect
 from .scaling import ScaleParams, laplace_closed_form
 
 __all__ = [
@@ -58,22 +59,6 @@ class SuperObservable:
 
     def __call__(self, u, s, psibar, psi, algebra):
         return self.evaluator(u, s, psibar, psi, algebra)
-
-
-def as_even(x, algebra: GeneratorSet) -> GrassmannElement:
-    """Lift a float or element to an even element of `algebra`."""
-    if isinstance(x, GrassmannElement):
-        return x if x.algebra == algebra else x.embed(algebra)
-    return algebra.scalar(x)
-
-
-def even_exp(x, algebra: GeneratorSet | None = None):
-    """exp of a float, complex, or even GrassmannElement."""
-    if isinstance(x, GrassmannElement):
-        return x.fn("exp")
-    if isinstance(x, complex):
-        return complex(math.e) ** x
-    return math.exp(x)
 
 
 def compute_phi(g: Graph, u, psibar, psi, algebra: GeneratorSet, kind: str = "phi"):
@@ -342,7 +327,7 @@ def super_image_measure_check(g: Graph, v: GroupElement, f, cc: ChainConfig, thr
                     full = a[i] * a[j] * g.weights[i, j]
                     souls[i][j] = full.soul
     pulled = super_scale_pullback(v, f if isinstance(f, SuperObservable) else SuperObservable(f))
-    rhs_cc = ChainConfig(cc.n_samples, cc.burn_in, cc.thinning, cc.n_chains, cc.proposal_scale, cc.seed + 1)
+    rhs_cc = replace(cc, seed=cc.seed + 1)
     rhs_raw = super_expect(g_scaled, pulled, param_algebra, rhs_cc, soul_weights=souls)
     lap = laplace_closed_form(g, ([x for x in a], [x for x in b]), chibar, chi, param_algebra)
     if not isinstance(lap, GrassmannElement):
@@ -482,7 +467,7 @@ def susy_martingale_check(tower: GraphTower, n: int, alpha: dict, tau: dict, par
     quads_n = _extend_params(tower, params, n, param_algebra)
     quads_n1 = _extend_params(tower, params, n + 1, param_algebra)
 
-    cc2 = ChainConfig(cc.n_samples, cc.burn_in, cc.thinning, cc.n_chains, cc.proposal_scale, cc.seed + 1)
+    cc2 = replace(cc, seed=cc.seed + 1)
     est_n, ref_n = _susy_level_estimate(tower, n, alpha, tau, quads_n, param_algebra, cc)
     est_n1, ref_n1 = _susy_level_estimate(tower, n + 1, alpha, tau, quads_n1, param_algebra, cc2)
 
@@ -498,21 +483,19 @@ def susy_martingale_check(tower: GraphTower, n: int, alpha: dict, tau: dict, par
         abs(_ref_coefficient(ref_n, s) - _ref_coefficient(ref_n1, s))
         for s in set(dict(ref_n.subsets())) | set(dict(ref_n1.subsets()))
     )
-    rep = _report("martingale-generating", rows, cc.seed, threshold)
+    rep = _report("martingale-super", rows, cc.seed, threshold)
     rep["closed_form_residual"] = closed_res
     if closed_res > 1e-12:
         rep["verdict"] = "fail"
     return rep
 
 
-def _derivative_martingale_observable(gk: Graph, j_ids, tilt_a, tilt_b, include_prefactor: bool = True):
+def _derivative_martingale_observable(gk: Graph, j_ids, tilt_a, tilt_b):
     """Vectorized conditional expectation of M_{j_1..j_k} times the tilt.
 
     The Gaussian s-sector is integrated out analytically per u-sample
     (conditional mean -e^{-u}b, covariance A_VV^{-1}), which removes all
     s-variance from the estimator; j_ids is a multiset of up to 3 vertex ids.
-    With include_prefactor False the factor prod_p e^{u_{j_p}} is left out,
-    for use with an exponentially tilted chain that absorbs it.
     """
     idx = [gk.index_of(v) for v in j_ids]
     if len(idx) > 3:
@@ -521,21 +504,16 @@ def _derivative_martingale_observable(gk: Graph, j_ids, tilt_a, tilt_b, include_
     b = np.asarray(tilt_b, dtype=float)
 
     def obs(u, s):
-        eu = np.exp(u)
-        beta = 0.5 * ((eu @ gk.weights.T) * np.exp(-u))[:, :-1]
-        av = -gk.weights[None, :, :] * (eu[:, :, None] * eu[:, None, :])
-        diag = -av.sum(axis=2)
-        av[:, np.arange(gk.n_total), np.arange(gk.n_total)] = diag
-        avv = av[:, :-1, :-1]
+        beta = compute_beta(gk, u)
         # tilt times the Gaussian normalization: the b^2 beta terms cancel,
         # leaving exp(-<(a^2-1)_V, beta> - (1/2) sum_{i != j in V} W_ij b_i b_j)
         w_vv = gk.weights[:-1, :-1]
         const = -0.5 * b[:-1] @ w_vv @ b[:-1]
         weight = np.exp(-(a[:-1] ** 2 - 1.0) @ beta.T + const)
-        v = (np.exp(-u) * b)[:, :-1]
-        cov = np.linalg.inv(avv)
-        m = -v
+        m = -(np.exp(-u) * b)[:, :-1]
         k = len(idx)
+        if k >= 2:
+            cov = np.linalg.inv(build_A(gk, u)[:, :-1, :-1])
         if k == 0:
             poly = np.ones(len(u), dtype=complex)
         elif k == 1:
@@ -561,9 +539,7 @@ def _derivative_martingale_observable(gk: Graph, j_ids, tilt_a, tilt_b, include_
                 + m[:, r] * cov[:, p, q]
             )
             poly = 1.0 + 1j * (m[:, p] + m[:, q] + m[:, r]) - pair - 1j * triple
-        if include_prefactor and idx:
-            return np.exp(u[:, idx].sum(axis=1)) * poly * weight
-        return poly * weight
+        return np.exp(u[:, idx].sum(axis=1)) * poly * weight
 
     return obs
 
@@ -584,13 +560,10 @@ def _generating_observable(gk: Graph, alpha_k: np.ndarray, tilt_a, tilt_b):
     b = np.asarray(tilt_b, dtype=float)
 
     def obs(u, s):
-        eu = np.exp(u)
-        beta = 0.5 * ((eu @ gk.weights.T) * np.exp(-u))[:, :-1]
-        av = -gk.weights[None, :, :] * (eu[:, :, None] * eu[:, None, :])
-        diag = -av.sum(axis=2)
-        theta = (np.exp(-u) * (np.einsum("nij,nj->ni", av, s) + diag * s))[:, :-1]
+        beta = compute_beta(gk, u)
+        theta = compute_theta(gk, u, s)
         tilt = np.exp(-(a[:-1] ** 2 + b[:-1] ** 2 - 1.0) @ beta.T - b[:-1] @ theta.T)
-        m = np.exp((eu * (1.0 + 1j * s)) @ alpha_k)
+        m = np.exp((np.exp(u) * (1.0 + 1j * s)) @ alpha_k)
         return m * tilt
 
     return obs
@@ -610,7 +583,7 @@ def martingale_generating_check(tower: GraphTower, n: int, alpha: dict, tilt: di
         alpha_k = extend_alpha(tower, alpha, k)
         a, b = _tilt_arrays(gk, tilt)
         obs = _generating_observable(gk, alpha_k, a, b)
-        cck = ChainConfig(cc.n_samples, cc.burn_in, cc.thinning, cc.n_chains, cc.proposal_scale, cc.seed + seed_shift)
+        cck = replace(cc, seed=cc.seed + seed_shift)
         est = expect(gk, obs, cck)
         lap = laplace_closed_form(gk, ScaleParams(a, b))
         ref = lap * np.exp(alpha_k @ (a - 1j * b))
@@ -629,7 +602,6 @@ def _tail_saddle(gk: Graph, counts: np.ndarray) -> np.ndarray:
     the u-marginal, used to center importance-sampling proposals.
     """
     from scipy.optimize import minimize
-    from .sampler import _log_target
 
     def neg(ui):
         return -(_log_target(gk, ui[None, :])[0] + counts @ ui)
@@ -645,12 +617,7 @@ def martingale_derivative_check(tower: GraphTower, n: int, j_ids, tilt: dict, cc
     ests = []
     for k, seed_shift in ((n, 0), (n + 1, 1)):
         gk = wired_subgraph(tower, k)
-        a = np.ones(gk.n_total)
-        b = np.zeros(gk.n_total)
-        for vid, (av, bv) in tilt.items():
-            if vid in gk.vertex_ids[:-1]:
-                i = gk.index_of(vid)
-                a[i], b[i] = av, bv
+        a, b = _tilt_arrays(gk, tilt)
         # the observable grows like prod e^{u_{j_p}}, so the mean is dominated
         # by rare correlated excursions of u; importance sampling with mixture
         # components along the path to the saddle of log rho + <k, u> covers
@@ -663,7 +630,7 @@ def martingale_derivative_check(tower: GraphTower, n: int, j_ids, tilt: dict, cc
         if j_ids:
             saddle = _tail_saddle(gk, counts)
             centers = [0.5 * saddle, saddle]
-        cck = ChainConfig(cc.n_samples, cc.burn_in, cc.thinning, cc.n_chains, cc.proposal_scale, cc.seed + seed_shift)
+        cck = replace(cc, seed=cc.seed + seed_shift)
         est = expect_importance(gk, obs, cck, sigma=1.5, centers=centers)
         lap = laplace_closed_form(gk, ScaleParams(a, b))
         ref = lap * np.prod([(a[gk.index_of(v)] - 1j * b[gk.index_of(v)]) for v in j_ids]) if j_ids else lap
@@ -684,16 +651,8 @@ def consistency_check(tower: GraphTower, n: int, params: dict, cc: ChainConfig, 
         if vid not in tower.levels[n]:
             raise ValueError(f"parameter support {vid!r} outside level {n}")
 
-    def pack(gk):
-        a = np.ones(gk.n_total)
-        b = np.zeros(gk.n_total)
-        for vid, (av, bv) in params.items():
-            i = gk.index_of(vid)
-            a[i], b[i] = av, bv
-        return ScaleParams(a, b)
-
-    lap_n = laplace_closed_form(g_n, pack(g_n))
-    lap_n1 = laplace_closed_form(g_n1, pack(g_n1))
+    lap_n = laplace_closed_form(g_n, ScaleParams(*_tilt_arrays(g_n, params)))
+    lap_n1 = laplace_closed_form(g_n1, ScaleParams(*_tilt_arrays(g_n1, params)))
     closed_res = abs(lap_n - lap_n1) / abs(lap_n)
 
     rows = [
@@ -707,37 +666,26 @@ def consistency_check(tower: GraphTower, n: int, params: dict, cc: ChainConfig, 
     ]
 
     level_ids = list(tower.levels[n])
+    names = (
+        [f"beta_{v}" for v in level_ids]
+        + [f"theta_{v}" for v in level_ids]
+        + [f"beta2_{v}" for v in level_ids]
+        + [f"theta2_{v}" for v in level_ids]
+    )
 
     def moments(gk, cck):
         idx = [gk.index_of(v) for v in level_ids]
 
         def obs_pack(u, s):
-            eu = np.exp(u)
-            beta = 0.5 * ((eu @ gk.weights.T) * np.exp(-u))
-            av = -gk.weights[None, :, :] * (eu[:, :, None] * eu[:, None, :])
-            diag = -av.sum(axis=2)
-            theta = np.exp(-u) * (np.einsum("nij,nj->ni", av, s) + diag * s)
-            cols = [beta[:, i] for i in idx] + [theta[:, i] for i in idx]
-            cols += [beta[:, i] ** 2 for i in idx] + [theta[:, i] ** 2 for i in idx]
-            return np.stack(cols, axis=1)
+            beta = compute_beta(gk, u)[:, idx]
+            theta = compute_theta(gk, u, s)[:, idx]
+            return np.concatenate([beta, theta, beta**2, theta**2], axis=1)
 
-        names = (
-            [f"beta_{v}" for v in level_ids]
-            + [f"theta_{v}" for v in level_ids]
-            + [f"beta2_{v}" for v in level_ids]
-            + [f"theta2_{v}" for v in level_ids]
-        )
-        out = {}
-        for col, name in enumerate(names):
-            est = expect(gk, lambda u, s, c=col: obs_pack(u, s)[:, c], cck)
-            out[name] = est
-        return out
+        return expect(gk, obs_pack, cck)
 
-    cc1 = ChainConfig(cc.n_samples, cc.burn_in, cc.thinning, cc.n_chains, cc.proposal_scale, cc.seed + 1)
     m_n = moments(g_n, cc)
-    m_n1 = moments(g_n1, cc1)
-    for name in m_n:
-        e0, e1 = m_n[name], m_n1[name]
-        se = math.hypot(e0.stderr, e1.stderr)
-        rows.append(_row((name,), e0.mean, se, e1.mean, threshold))
+    m_n1 = moments(g_n1, replace(cc, seed=cc.seed + 1))
+    for col, name in enumerate(names):
+        se = math.hypot(m_n.stderr[col], m_n1.stderr[col])
+        rows.append(_row((name,), m_n.mean[col], se, m_n1.mean[col], threshold))
     return _report("consistency", rows, cc.seed, threshold, extra={"closed_form_residual": closed_res})

@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     FieldConfig,
     build_A,
+    compute_beta,
     compute_theta,
     h_beta,
     log_rho_density,
@@ -47,6 +48,7 @@ from .supersym import (
     martingale_generating_check,
     super_image_measure_check,
     super_jacobian,
+    susy_martingale_check,
     ward_check,
 )
 
@@ -319,15 +321,13 @@ def _check_theta_conditional(spec: CheckSpec) -> dict:
 
 
 def _tilt_observable(g: Graph, a: np.ndarray, b: np.ndarray):
-    """Vectorized e^{-<(a^2+b^2-1)_V, beta> - <b_V, theta>}."""
+    """e^{-<(a^2+b^2-1)_V, beta> - <b_V, theta>} at (u, s) of shape (..., n_total)."""
+
+    c = a[:-1] ** 2 + b[:-1] ** 2 - 1.0
+    b_inner = b[:-1]
 
     def obs(u, s):
-        eu = np.exp(u)
-        beta = 0.5 * ((eu @ g.weights.T) * np.exp(-u))[:, :-1]
-        av = -g.weights[None, :, :] * (eu[:, :, None] * eu[:, None, :])
-        diag = -av.sum(axis=2)
-        theta = (np.exp(-u) * (np.einsum("nij,nj->ni", av, s) + diag * s))[:, :-1]
-        return np.exp(-(a[:-1] ** 2 + b[:-1] ** 2 - 1.0) @ beta.T - b[:-1] @ theta.T)
+        return np.exp(-compute_beta(g, u) @ c - compute_theta(g, u, s) @ b_inner)
 
     return obs
 
@@ -347,14 +347,7 @@ def _check_laplace_real(spec: CheckSpec) -> dict:
     est = expect(g, _tilt_observable(g, p.a, p.b), spec.chain)
     rows = [_row(("mc",), est.mean, est.stderr, ref, spec.z_threshold)]
     if g.n_inner == 1:
-        a1, b1 = p.a[0], p.b[0]
-
-        def f(u, s):
-            beta1 = 0.5 * (g.weights[0] @ np.exp(u)) * np.exp(-u[0])
-            theta1 = compute_theta(g, u, s)[0]
-            return math.exp(-(a1**2 + b1**2 - 1.0) * beta1 - b1 * theta1)
-
-        quad = expect_quadrature_1v(g, f)
+        quad = expect_quadrature_1v(g, _tilt_observable(g, p.a, p.b))
         rows.append(_det_row("quadrature_residual", abs(quad - ref) / abs(ref), spec.tolerance))
     rep = _report(spec.id, rows, spec.chain.seed, spec.z_threshold)
     rep["stderr_max"] = float(est.stderr)
@@ -415,14 +408,7 @@ def _check_laplace_grassmann(spec: CheckSpec) -> dict:
     rep["check"] = spec.id
     if g.n_inner == 1:
         ref = laplace_closed_form(g, p)
-        a1, b1 = p.a[0], p.b[0]
-
-        def f(u, s):
-            beta1 = 0.5 * (g.weights[0] @ np.exp(u)) * np.exp(-u[0])
-            theta1 = compute_theta(g, u, s)[0]
-            return math.exp(-(a1**2 + b1**2 - 1.0) * beta1 - b1 * theta1)
-
-        quad = expect_quadrature_1v(g, f)
+        quad = expect_quadrature_1v(g, _tilt_observable(g, p.a, p.b))
         rep["coefficients"].append(_det_row("body_quadrature_residual", abs(quad - ref) / abs(ref), spec.tolerance))
         if rep["coefficients"][-1]["z"] > spec.z_threshold:
             rep["verdict"] = "fail"
@@ -442,6 +428,17 @@ def _check_martingale_generating(spec: CheckSpec) -> dict:
     alpha = spec.params.get("alpha", {"1": -0.7, "3": -0.4})
     tilt = spec.params.get("tilt", {"1": (1.2, 0.3), "2": (0.9, -0.2)})
     return martingale_generating_check(tower, n, alpha, tilt, spec.chain, spec.z_threshold)
+
+
+def _check_martingale_super(spec: CheckSpec) -> dict:
+    """Grassmann-valued martingale with odd tilt parameters and an odd source
+    tau on vertex 1, at two consecutive wired levels."""
+    tower = spec.tower or line_tower()
+    algebra = GeneratorSet(["cb_1", "c_1", "tau_1"])
+    params = {"1": (1.2, 0.3, algebra.gen("cb_1") * 0.8, algebra.gen("c_1") * 0.6)}
+    tau = {"1": algebra.gen("tau_1") * 0.5}
+    n = spec.params.get("level", 1)
+    return susy_martingale_check(tower, n, {"1": -0.7}, tau, params, spec.chain, spec.z_threshold)
 
 
 def _merged_derivative_check(spec: CheckSpec, j_sets) -> dict:
@@ -526,6 +523,7 @@ _HANDLERS = {
     "laplace-grassmann": _check_laplace_grassmann,
     "consistency": _check_consistency,
     "martingale-generating": _check_martingale_generating,
+    "martingale-super": _check_martingale_super,
     "martingale-derivatives": _check_martingale_derivatives,
     "martingale-special-cases": _check_martingale_special_cases,
     "ward": _check_ward,
@@ -559,6 +557,9 @@ def default_specs(seed: int = 0) -> dict:
         "laplace-grassmann": CheckSpec("laplace-grassmann", graph=single_edge(), chain=slow, tolerance=1e-6),
         "consistency": CheckSpec("consistency", tower=line_tower(), chain=fast, tolerance=1e-14),
         "martingale-generating": CheckSpec("martingale-generating", tower=line_tower(), chain=fast),
+        "martingale-super": CheckSpec(
+            "martingale-super", tower=line_tower(), chain=ChainConfig(n_samples=1_000, burn_in=800, n_chains=4, seed=seed)
+        ),
         "martingale-derivatives": CheckSpec("martingale-derivatives", tower=line_tower(), chain=heavy),
         "martingale-special-cases": CheckSpec("martingale-special-cases", tower=line_tower(), chain=heavy),
         "ward": CheckSpec("ward", graph=triangle(), chain=slow),

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypersigma
 from hypersigma import (
+    EstimationError,
     FieldConfig,
     GeneratorSet,
     Graph,
@@ -16,7 +18,9 @@ from hypersigma import (
     compute_beta,
     compute_theta,
     h_beta,
+    line_tower,
     log_rho_density,
+    rho_density,
     s_cart,
     s_from_beta_theta,
     single_edge,
@@ -24,6 +28,7 @@ from hypersigma import (
     to_cartesian,
     triangle,
     u_from_beta,
+    wired_subgraph,
 )
 
 finite_floats = st.floats(-2.0, 2.0, allow_nan=False)
@@ -52,6 +57,17 @@ def test_field_config_rejects_unpinned():
         FieldConfig(np.array([0.2, 0.1]), np.array([0.0, 0.0]))
 
 
+def random_batch(rng, g, n=6):
+    """(n, n_total) fields with pinned column 0."""
+    return np.concatenate([rng.standard_normal((n, g.n_inner)), np.zeros((n, 1))], axis=1)
+
+
+def assert_rows_match(batched, scalar_fn, *rows):
+    """A batched kernel result equals the scalar call on each row."""
+    for k in range(len(rows[0])):
+        assert np.array_equal(batched[k], scalar_fn(*(r[k] for r in rows)))
+
+
 def test_build_A_rows_sum_to_zero():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -60,6 +76,11 @@ def test_build_A_rows_sum_to_zero():
         a = build_A(g, u)
         assert np.abs(a.sum(axis=1)).max() < 1e-12
         assert np.abs(a - a.T).max() < 1e-12
+        ub = random_batch(rng, g)
+        ab = build_A(g, ub)
+        assert ab.shape == (len(ub), g.n_total, g.n_total)
+        assert np.abs(ab.sum(axis=-1)).max() < 1e-12
+        assert_rows_match(ab, lambda x: build_A(g, x), ub)
 
 
 def test_h_beta_structure():
@@ -73,6 +94,9 @@ def test_h_beta_structure():
     assert np.abs(off + g.weights).max() < 1e-12
     beta_all = 0.5 * (g.weights @ np.exp(u)) / np.exp(u)
     assert np.abs(np.diag(h) - 2.0 * beta_all).max() < 1e-12
+    assert np.abs(compute_beta(g, u) - beta_all[:-1]).max() < 1e-12
+    ub = random_batch(rng, g)
+    assert_rows_match(compute_beta(g, ub), lambda x: compute_beta(g, x), ub)
 
 
 def test_energy_relations():
@@ -142,6 +166,13 @@ def test_s_from_beta_theta_round_trip():
         theta = compute_theta(g, cfg.u, cfg.s)
         s_rec = s_from_beta_theta(g, beta, theta)
         assert np.abs(s_rec - cfg.s).max() < 1e-7
+        edge_sum = np.zeros(g.n_total)
+        for i, j, w in g.edges():
+            edge_sum[i] += w * math.exp(cfg.u[j]) * (cfg.s[i] - cfg.s[j])
+            edge_sum[j] += w * math.exp(cfg.u[i]) * (cfg.s[j] - cfg.s[i])
+        assert np.abs(theta - edge_sum[:-1]).max() < 1e-12
+        ub, sb = random_batch(rng, g), random_batch(rng, g)
+        assert_rows_match(compute_theta(g, ub, sb), lambda x, y: compute_theta(g, x, y), ub, sb)
 
 
 def test_cartesian_constraint_and_action():
@@ -164,3 +195,23 @@ def test_cartesian_constraint_and_action():
         for i, j, w in g.edges()
     )
     assert abs(action.body - direct) < 1e-12
+
+
+@pytest.mark.parametrize("n_inner", [1, 2, 3, 8])
+def test_field_kernel_error_contract(n_inner):
+    """Overflow raises EstimationError at every size, in rho and in the chain
+    target alike; an underflowing rho is 0.0."""
+    from hypersigma.sampler import _log_target
+
+    g = wired_subgraph(line_tower(n_inner), n_inner - 1) if n_inner > 1 else single_edge()
+    assert g.n_inner == n_inner
+    u = np.zeros(g.n_total)
+    u[0] = 800.0
+    cfg = FieldConfig(u, np.zeros(g.n_total))
+    with pytest.raises(EstimationError):
+        rho_density(g, cfg)
+    with pytest.raises(EstimationError):
+        _log_target(g, u[None, :-1])
+    u[0] = -700.0
+    assert rho_density(g, FieldConfig(u, np.zeros(g.n_total))) == 0.0
+    assert hypersigma.sampler.EstimationError is EstimationError

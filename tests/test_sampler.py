@@ -88,6 +88,31 @@ def test_expect_rejects_nan_observable():
         expect(g, bad, ChainConfig(n_samples=100, burn_in=50))
 
 
+def test_super_expect_rejects_nan_observable():
+    g = triangle()
+
+    def bad(u, s, psibar, psi, algebra):
+        return float("nan")
+
+    with pytest.raises(EstimationError):
+        super_expect(g, bad, GeneratorSet([]), ChainConfig(n_samples=100, burn_in=50, n_chains=4))
+
+
+def test_expect_vector_observable_matches_columns():
+    """An (N, k) observable gives, per column, exactly the estimate of that
+    column alone on the same chain."""
+    g = triangle()
+    cc = ChainConfig(n_samples=2_000, burn_in=300, n_chains=4, seed=8)
+    cols = [lambda u, s: np.exp(-(u[:, 0] ** 2)), lambda u, s: s[:, 1] ** 2, lambda u, s: u[:, 0] * s[:, 1]]
+    est = expect(g, lambda u, s: np.stack([f(u, s) for f in cols], axis=1), cc)
+    assert est.mean.shape == est.stderr.shape == (3,)
+    singles = [expect(g, f, cc) for f in cols]
+    for k, one in enumerate(singles):
+        assert est.mean[k] == one.mean
+        assert est.stderr[k] == one.stderr
+    assert est.n_effective == min(one.n_effective for one in singles)
+
+
 def test_expect_importance_matches_expect():
     """IS and MCMC agree on a bounded observable; IS resolves it with a large
     effective sample size."""

@@ -154,3 +154,21 @@ def test_martingale_derivative_rejects_large_multisets():
     cc = ChainConfig(n_samples=2_000, burn_in=500, n_chains=4, seed=0)
     with pytest.raises(ValueError):
         martingale_derivative_check(tower, 2, ["1", "1", "1", "1"], {}, cc)
+
+
+def test_consistency_runs_each_level_chain_once(monkeypatch):
+    """All moment columns of a level are read from one chain."""
+    from hypersigma import consistency_check, sampler
+
+    calls = []
+    run_chains = sampler._run_chains
+
+    def counting(g, cc):
+        calls.append(cc.seed)
+        return run_chains(g, cc)
+
+    monkeypatch.setattr(sampler, "_run_chains", counting)
+    cc = ChainConfig(n_samples=2_000, burn_in=300, n_chains=4, seed=3)
+    rep = consistency_check(line_tower(), 1, {"1": (1.2, 0.3)}, cc)
+    assert calls == [3, 4]
+    assert len(rep["coefficients"]) == 1 + 4 * 2

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hypersigma import CheckSpec, Report, UnknownCheckError, default_specs, list_check_ids, run_check, run_suite
+from hypersigma import verify
 from hypersigma.sampler import ChainConfig
 
 EXPECTED_CHECKS = {
@@ -17,6 +18,7 @@ EXPECTED_CHECKS = {
     "laplace-grassmann",
     "consistency",
     "martingale-generating",
+    "martingale-super",
     "martingale-derivatives",
     "martingale-special-cases",
     "ward",
@@ -101,3 +103,14 @@ def test_graph_override_is_used():
     # the triangle has two inner vertices, so the quadrature row is absent
     assert all("quadrature" not in "".join(map(str, c["subset"])) for c in rep.coefficients)
     assert rep.verdict == "pass"
+
+
+def test_martingale_super_check():
+    """The Grassmann-valued martingale passes at both levels, reports under its
+    own id, and estimates the odd tilt and source coefficients."""
+    rep = verify._HANDLERS["martingale-super"](default_specs(seed=0)["martingale-super"])
+    assert rep["check"] == "martingale-super"
+    assert rep["verdict"] == "pass"
+    assert rep["closed_form_residual"] <= 1e-12
+    subsets = {tuple(r["subset"]) for r in rep["coefficients"]}
+    assert {(), ("c_1", "tau_1"), ("cb_1", "tau_1")} <= subsets
