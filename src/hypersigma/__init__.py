@@ -62,7 +62,6 @@ from .scaling import (
     theta_conditional_covariance,
 )
 from .supersym import (
-    SuperObservable,
     bold_rho,
     compute_phi,
     consistency_check,

@@ -213,10 +213,10 @@ def _cmd_sample(args) -> int:
     cc = _chain_from_args(args, ChainConfig(seed=seed))
     rng = np.random.default_rng(np.random.SeedSequence((cc.seed, 0x5)))
     us = sample_u(g, cc)
+    ss = sample_s_given_u(g, us, rng)
     sink = open(args.out, "w") if args.out is not None else sys.stdout
     try:
-        for u in us:
-            s = sample_s_given_u(g, u, rng)
+        for u, s in zip(us, ss):
             rec = {"u": u.tolist(), "s": s.tolist()}
             sink.write(json.dumps(rec) + "\n")
     finally:

@@ -131,17 +131,39 @@ def _avv_logdet(g: Graph, u_inner: np.ndarray):
     return avv, logdet
 
 
+#: below this log value exp underflows float64 to 0, so rho reads as 0.0
+LOG_UNDERFLOW = -745.0
+
+
+def _edge_action(g: Graph, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Per-edge action cosh(u_i-u_j) - 1 + (1/2)(s_i-s_j)^2 e^{u_i+u_j}.
+
+    u and s have shape (..., n_total); the result has shape (..., n_edges),
+    one column per edge of `g.edge_arrays`.
+    """
+    i, j, _ = g.edge_arrays
+    return np.cosh(u[..., i] - u[..., j]) - 1.0 + 0.5 * (s[..., i] - s[..., j]) ** 2 * np.exp(u[..., i] + u[..., j])
+
+
+def _log_rho(g: Graph, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """log rho = log det A_VV(u) - sum_edges W [edge action] for (..., n_total)
+    fields with vanishing pinned components; shape (...).
+
+    Raises EstimationError when A_VV(u) overflows or is not positive definite.
+    """
+    _, logdet = _avv_logdet(g, u[..., :-1])
+    return logdet - (g.edge_arrays[2] * _edge_action(g, u, s)).sum(axis=-1)
+
+
 def log_rho_density(g: Graph, cfg: FieldConfig, mode: str = "direct") -> float:
     """log of the model density, in one of three equivalent representations.
 
     Raises EstimationError when A_VV(u) overflows or is not positive definite.
     """
     u, s = cfg.u, cfg.s
-    _, logdet = _avv_logdet(g, u[:-1])
     if mode == "direct":
-        i, j, w = g.edge_arrays
-        coup = np.cosh(u[i] - u[j]) - 1.0 + 0.5 * (s[i] - s[j]) ** 2 * np.exp(u[i] + u[j])
-        return float(logdet - w @ coup)
+        return float(_log_rho(g, u, s))
+    _, logdet = _avv_logdet(g, u[:-1])
     if mode == "quadratic":
         a = build_A(g, u)
         emu = np.exp(-u)
@@ -159,12 +181,12 @@ def log_rho_density(g: Graph, cfg: FieldConfig, mode: str = "direct") -> float:
 
 
 def rho_density(g: Graph, cfg: FieldConfig, mode: str = "direct") -> float:
-    """exp of log_rho_density; underflows to 0.0 for extreme fields.
+    """exp of log_rho_density; 0.0 below LOG_UNDERFLOW.
 
     Raises EstimationError when A_VV(u) overflows or is not positive definite.
     """
     logval = log_rho_density(g, cfg, mode)
-    if logval < -745.0:  # exp underflow threshold for float64
+    if logval < LOG_UNDERFLOW:
         return 0.0
     return float(np.exp(logval))
 

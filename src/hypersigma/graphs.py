@@ -65,10 +65,6 @@ class Graph:
         return self.n_total - 1
 
     @property
-    def pinned_index(self) -> int:
-        return self.n_total - 1
-
-    @property
     def pinned_id(self) -> str:
         return self.vertex_ids[-1]
 

@@ -266,18 +266,6 @@ class GrassmannElement:
             term = term * rel
         return result * scale
 
-    def exp(self):
-        return self.fn("exp")
-
-    def inverse(self):
-        return self.fn("inverse")
-
-    def sqrt(self):
-        return self.fn("sqrt")
-
-    def log(self):
-        return self.fn("log")
-
     # -- misc --------------------------------------------------------------
 
     def embed(self, target: GeneratorSet) -> "GrassmannElement":

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .core import FieldConfig, build_A, rho_density
-from .grassmann import GeneratorSet, GrassmannElement
+from .core import LOG_UNDERFLOW, _log_rho, build_A
+from .grassmann import GeneratorSet, GrassmannElement, berezin_pairs
 from .graphs import Graph
 from .sampler import fermion_weight, grassmann_reduce, psi_algebra, psi_vectors
 
@@ -57,30 +57,39 @@ def _total_weight(g: Graph) -> float:
     return float(g.weights[0, :].sum())
 
 
-def expect_quadrature_1v(g: Graph, f, n_u: int = 240, n_t: int = 120, u_lim: float = 12.0, t_lim: float = 10.0):
-    """E[f(u, s)] for a scalar observable on a single-inner-vertex graph.
+def _horospherical_rows(g: Graph, n_u: int, n_t: int, u_lim: float, t_lim: float):
+    """Gauss-Legendre nodes of the (u, s) plane, one u-row at a time.
 
-    Integrates f rho e^{-u} du ds / (2 pi) with the substitution
-    s = t e^{-u/2} / sqrt(W_tot) matching the conditional Gaussian width.
+    s = t e^{-u/2} / sqrt(W_tot) matches the conditional Gaussian width.  Per
+    row yields (u, s, w): the fields of shape (k, n_total) and the weights
+    rho e^{-u} du ds / (2 pi) of the k nodes whose log rho is not below
+    LOG_UNDERFLOW; rows without such nodes are skipped.
     """
     _check_single_inner(g)
     w_tot = _total_weight(g)
     u_nodes, u_w = _gauss_grid(-u_lim, u_lim, n_u)
     t_nodes, t_w = _gauss_grid(-t_lim, t_lim, n_t)
-    total = 0.0
+    u = np.zeros((n_t, 2))
+    s = np.zeros((n_t, 2))
     for u1, wu in zip(u_nodes, u_w):
         sigma = math.exp(-0.5 * u1) / math.sqrt(w_tot)
-        u = np.array([u1, 0.0])
-        row = 0.0
-        for t1, wt in zip(t_nodes, t_w):
-            s1 = t1 * sigma
-            s = np.array([s1, 0.0])
-            rho = rho_density(g, FieldConfig(u, s))
-            if rho == 0.0:
-                continue
-            row += wt * rho * f(u, s)
-        total += wu * row * sigma * math.exp(-u1)
-    return total / (2.0 * math.pi)
+        u[:, 0] = u1
+        s[:, 0] = t_nodes * sigma
+        log_rho = _log_rho(g, u, s)
+        keep = log_rho >= LOG_UNDERFLOW
+        if keep.any():
+            w = t_w[keep] * np.exp(log_rho[keep]) * (wu * sigma * math.exp(-u1) / (2.0 * math.pi))
+            yield u[keep], s[keep], w
+
+
+def expect_quadrature_1v(g: Graph, f, n_u: int = 240, n_t: int = 120, u_lim: float = 12.0, t_lim: float = 10.0):
+    """E[f(u, s)] on a single-inner-vertex graph.
+
+    Like `expect`'s observables, `f(u, s)` takes (N, n_total) arrays; it is
+    called once per u-row of the grid, on the nodes where rho does not
+    underflow.
+    """
+    return sum((w * f(u, s)).sum() for u, s, w in _horospherical_rows(g, n_u, n_t, u_lim, t_lim))
 
 
 def super_expect_quadrature_1v(
@@ -99,31 +108,19 @@ def super_expect_quadrature_1v(
     against e^{-<psibar, A psi>}, and the scalar weight rho e^{-u}/(2 pi) is
     applied.  Returns an element of the parameter algebra.
     """
-    _check_single_inner(g)
     algebra = psi_algebra(g, param_algebra)
     psibar, psi = psi_vectors(g, algebra)
-    w_tot = _total_weight(g)
-    u_nodes, u_w = _gauss_grid(-u_lim, u_lim, n_u)
-    t_nodes, t_w = _gauss_grid(-t_lim, t_lim, n_t)
     acc: dict = {}
-    for u1, wu in zip(u_nodes, u_w):
-        sigma = math.exp(-0.5 * u1) / math.sqrt(w_tot)
-        u = np.array([u1, 0.0])
-        avv = build_A(g, u)[:-1, :-1]
-        weight = fermion_weight(g, u, algebra)
-        for t1, wt in zip(t_nodes, t_w):
-            s1 = t1 * sigma
-            s = np.array([s1, 0.0])
-            rho = rho_density(g, FieldConfig(u, s))
-            if rho == 0.0:
-                continue
-            val = f(u, s, psibar, psi, algebra)
+    for u, s, w in _horospherical_rows(g, n_u, n_t, u_lim, t_lim):
+        weight = fermion_weight(g, u[0], algebra)
+        # the reduction of the fermion weight alone is det A_VV = A_11
+        w = w / build_A(g, u[0])[0, 0]
+        for uk, sk, wk in zip(u, s, w):
+            val = f(uk, sk, psibar, psi, algebra)
             if not isinstance(val, GrassmannElement):
                 val = algebra.scalar(val)
-            reduced = grassmann_reduce(g, weight * val)
-            factor = wu * wt * sigma * math.exp(-u1) * rho / (avv[0, 0] * 2.0 * math.pi)
-            for m, cval in reduced.coeffs.items():
-                acc[m] = acc.get(m, 0.0) + factor * cval
+            for m, cval in grassmann_reduce(g, weight * val).coeffs.items():
+                acc[m] = acc.get(m, 0.0) + wk * cval
     return _restrict(GrassmannElement(algebra, acc), param_algebra)
 
 
@@ -157,8 +154,6 @@ def cartesian_expect_quadrature_1v(
             # single inner vertex: S_cart = -W_tot (z - 1)
             s_cart = (base.one() - z) * w_tot
             integrand = z.fn("inverse") * s_cart.fn("exp") * f_cart(x, y, xi, eta, base)
-            from .grassmann import berezin_pairs
-
             reduced = berezin_pairs(integrand, [("xi_1", "eta_1")])
             factor = wr * phi_w * r / (2.0 * math.pi)
             for m, cval in reduced.coeffs.items():
@@ -169,19 +164,15 @@ def cartesian_expect_quadrature_1v(
 def zeta_integral_1v(f, n_u: int = 240, n_s: int = 240, u_lim: float = 14.0, s_lim: float = 14.0, s_center=None):
     """Reference-measure integral int f(u, s) e^{-u} du ds for |V| = 1.
 
-    The test function must decay fast enough in both directions (e.g. have
-    compact support or a Gaussian window).  When the s-localization of f
-    drifts with u (as it does after a scaling with b != 0), pass `s_center`
-    as a callable u -> center so the s panel tracks the mass.
+    f is evaluated once, on node arrays that broadcast to (n_u, n_s): u of
+    shape (n_u, 1) and s of shape (n_u, n_s) or (1, n_s).  The test function
+    must decay fast enough in both directions (e.g. have compact support or
+    a Gaussian window).  When the s-localization of f drifts with u (as it
+    does after a scaling with b != 0), pass `s_center`, mapping the array of
+    u-nodes to their centers, so the s panel tracks the mass.
     """
     u_nodes, u_w = _gauss_grid(-u_lim, u_lim, n_u)
     s_nodes, s_w = _gauss_grid(-s_lim, s_lim, n_s)
-    total = 0.0
-    for u1, wu in zip(u_nodes, u_w):
-        emu = math.exp(-u1)
-        shift = 0.0 if s_center is None else s_center(u1)
-        row = 0.0
-        for s1, ws in zip(s_nodes, s_w):
-            row += ws * f(u1, s1 + shift)
-        total += wu * emu * row
-    return total
+    shift = 0.0 if s_center is None else s_center(u_nodes)
+    s = s_nodes + np.reshape(shift, (-1, 1))
+    return float((u_w * np.exp(-u_nodes)) @ (f(u_nodes[:, None], s) @ s_w))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EstimationError, _avv_logdet
+from .core import EstimationError, _avv_logdet, _edge_action
 from .grassmann import GeneratorSet, GrassmannElement, berezin_pairs
 from .graphs import Graph
 
@@ -139,9 +139,13 @@ def _draw_s(g: Graph, u_inner: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def sample_s_given_u(g: Graph, u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Exact conditional draw: s_V Gaussian with covariance A_VV(u)^{-1}."""
+    """Exact conditional draw: s_V Gaussian with covariance A_VV(u)^{-1}.
+
+    u has shape (..., n_total) and one s is drawn per field, from the same
+    normals as one call per field in order.
+    """
     u = np.asarray(u, dtype=float)
-    return _draw_s(g, u[:-1], rng.standard_normal(g.n_inner))
+    return _draw_s(g, u[..., :-1], rng.standard_normal(u.shape[:-1] + (g.n_inner,)))
 
 
 def _sample_us_chains(g: Graph, cc: ChainConfig):
@@ -354,45 +358,38 @@ def super_expect(g: Graph, f, param_algebra: GeneratorSet, cc: ChainConfig, soul
     algebra = psi_algebra(g, param_algebra)
     u, s, rate = _sample_us_chains(g, cc)
     c, m, n = u.shape
-    _, logdet = _avv_logdet(g, u.reshape(-1, n)[:, :-1])
-    logdet = logdet.reshape(c, m)
+    u, s = u.reshape(-1, n), s.reshape(-1, n)
+    _, logdet = _avv_logdet(g, u[:, :-1])
 
     psibar, psi = psi_vectors(g, algebra)
     lifted_souls = None
     if soul_weights is not None:
         lifted_souls = [[soul_weights[i][j].embed(algebra) for j in range(g.n_total)] for i in range(g.n_total)]
+        # density-ratio correction for the nilpotent part of the weights:
+        # exp(-sum_edges soul_ij * action_ij) per sample
+        souls = [
+            (e, lifted_souls[i][j])
+            for e, (i, j) in enumerate(zip(*g.edge_arrays[:2]))
+            if not lifted_souls[i][j].is_zero(0.0)
+        ]
+        action = _edge_action(g, u, s)
 
-    param_masks: dict = {}
     series: dict = {}
-
-    def record(k, elem: GrassmannElement):
-        for mask, cval in elem.coeffs.items():
+    for k in range(c * m):
+        weight = fermion_weight(g, u[k], algebra, lifted_souls)
+        if lifted_souls is not None:
+            expo = algebra.zero()
+            for e, soul in souls:
+                expo = expo - soul * action[k, e]
+            weight = weight * expo.fn("exp")
+        val = f(u[k], s[k], psibar, psi, algebra)
+        if not isinstance(val, GrassmannElement):
+            val = algebra.scalar(val)
+        reduced = grassmann_reduce(g, weight * val) * math.exp(-logdet[k])
+        for mask, cval in reduced.coeffs.items():
             if mask not in series:
                 series[mask] = np.zeros((c, m), dtype=complex)
             series[mask][k // m, k % m] = cval
-
-    for k in range(c * m):
-        uk = u.reshape(-1, n)[k]
-        sk = s.reshape(-1, n)[k]
-        weight = fermion_weight(g, uk, algebra, lifted_souls)
-        extra = algebra.one()
-        if lifted_souls is not None:
-            # density-ratio correction for the nilpotent part of the weights
-            expo = algebra.zero()
-            for i, j, _w in g.edges():
-                soul_ij = lifted_souls[i][j]
-                if soul_ij.is_zero(0.0):
-                    continue
-                expo = expo - soul_ij * (
-                    math.cosh(uk[i] - uk[j]) - 1.0 + 0.5 * (sk[i] - sk[j]) ** 2 * math.exp(uk[i] + uk[j])
-                )
-            extra = expo.fn("exp")
-        val = f(uk, sk, psibar, psi, algebra)
-        if not isinstance(val, GrassmannElement):
-            val = algebra.scalar(val)
-        reduced = grassmann_reduce(g, weight * extra * val)
-        reduced = reduced * math.exp(-logdet[k // m, k % m])
-        record(k, reduced)
 
     if not all(np.all(np.isfinite(vals)) for vals in series.values()):
         raise EstimationError("observable produced NaN/Inf values")

@@ -9,11 +9,11 @@ statistical comparisons are reported coefficient-by-coefficient with z-scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .core import FieldConfig, build_A, compute_beta, compute_theta
+from .core import FieldConfig, _edge_action, build_A, compute_beta, compute_theta
 from .grassmann import (
     DomainError,
     GeneratorSet,
@@ -27,7 +27,6 @@ from .sampler import ChainConfig, Estimate, _log_target, expect, expect_importan
 from .scaling import ScaleParams, laplace_closed_form
 
 __all__ = [
-    "SuperObservable",
     "compute_phi",
     "bold_rho",
     "super_scale_pullback",
@@ -43,22 +42,6 @@ __all__ = [
 
 #: stderr floor preventing division by zero in z-scores for exact observables
 STDERR_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class SuperObservable:
-    """A superfunction evaluator (u, s, psibar, psi, algebra) -> element.
-
-    Entries of u and s may be floats or even GrassmannElements (the latter
-    appear after pullbacks along Grassmann-valued scalings); evaluators must
-    use the helpers below so both cases work.
-    """
-
-    evaluator: object
-    parity: str = "even"
-
-    def __call__(self, u, s, psibar, psi, algebra):
-        return self.evaluator(u, s, psibar, psi, algebra)
 
 
 def compute_phi(g: Graph, u, psibar, psi, algebra: GeneratorSet, kind: str = "phi"):
@@ -89,25 +72,24 @@ def bold_rho(g: Graph, cfg: FieldConfig, algebra: GeneratorSet, soul_weights=Non
     `soul_weights`, when given, adds nilpotent even elements to the edge
     weights (entries of an n x n nested list); bodies must stay positive.
     """
-    u, s = cfg.u, cfg.s
     scalar_exponent = algebra.zero()
-    for i, j, w in g.edges():
+    for i, j, w, act in zip(*g.edge_arrays, _edge_action(g, cfg.u, cfg.s)):
         wij = algebra.scalar(w)
         if soul_weights is not None:
             wij = wij + soul_weights[i][j]
         if complex(wij.body).real <= 0.0:
             raise DomainError("edge weight body must be positive")
-        coup = math.cosh(u[i] - u[j]) - 1.0 + 0.5 * (s[i] - s[j]) ** 2 * math.exp(u[i] + u[j])
-        scalar_exponent = scalar_exponent - wij * coup
-    return scalar_exponent.fn("exp") * fermion_weight(g, u, algebra, soul_weights)
+        scalar_exponent = scalar_exponent - wij * act
+    return scalar_exponent.fn("exp") * fermion_weight(g, cfg.u, algebra, soul_weights)
 
 
 def _quad_entries(v: GroupElement, i: int, algebra: GeneratorSet):
     return tuple(e.embed(algebra) for e in v.quads[i])
 
 
-def super_scale_pullback(v: GroupElement, f) -> SuperObservable:
-    """Pull a superfunction back along the scaling with parameters v.
+def super_scale_pullback(v: GroupElement, f):
+    """Pull a superfunction f(u, s, psibar, psi, algebra) back along the
+    scaling with parameters v.
 
     Substitutes u -> u + log a, s -> s - e^{-u} b / a, psibar -> psibar -
     e^{-u} chibar / a, psi -> psi - e^{-u} chi / a, expanding even functions
@@ -144,8 +126,7 @@ def super_scale_pullback(v: GroupElement, f) -> SuperObservable:
             p2.append(psi[i] - emu * ainv * c)
         return f(u2, s2, pb2, p2, algebra)
 
-    parity = f.parity if isinstance(f, SuperObservable) else "even"
-    return SuperObservable(pulled, parity)
+    return pulled
 
 
 def super_jacobian(v: GroupElement, u) -> SuperMatrix:
@@ -326,7 +307,7 @@ def super_image_measure_check(g: Graph, v: GroupElement, f, cc: ChainConfig, thr
                 if g.weights[i, j] != 0.0:
                     full = a[i] * a[j] * g.weights[i, j]
                     souls[i][j] = full.soul
-    pulled = super_scale_pullback(v, f if isinstance(f, SuperObservable) else SuperObservable(f))
+    pulled = super_scale_pullback(v, f)
     rhs_cc = replace(cc, seed=cc.seed + 1)
     rhs_raw = super_expect(g_scaled, pulled, param_algebra, rhs_cc, soul_weights=souls)
     lap = laplace_closed_form(g, ([x for x in a], [x for x in b]), chibar, chi, param_algebra)

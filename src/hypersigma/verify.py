@@ -38,7 +38,6 @@ from .sampler import ChainConfig, expect, grassmann_reduce, psi_algebra, sample_
 from .scaling import ScaleParams, laplace_closed_form, radon_nikodym, rescale_weights, scale_fields, theta_conditional_covariance
 from .supersym import (
     STDERR_FLOOR,
-    SuperObservable,
     _report,
     _row,
     bold_rho,
@@ -206,13 +205,13 @@ def _check_zeta_scaling(spec: CheckSpec) -> dict:
     b = spec.params.get("b", -0.5)
 
     def fwin(u, s):
-        return math.exp(-((u - 0.3) ** 2) - 0.5 * (s + 0.2) ** 2)
+        return np.exp(-((u - 0.3) ** 2) - 0.5 * (s + 0.2) ** 2)
 
     def fscaled(u, s):
-        return fwin(u + math.log(a), s - math.exp(-u) * b / a)
+        return fwin(u + math.log(a), s - np.exp(-u) * b / a)
 
     ref = zeta_integral_1v(fwin)
-    lhs = zeta_integral_1v(fscaled, s_center=lambda u: -0.2 + math.exp(-u) * b / a)
+    lhs = zeta_integral_1v(fscaled, s_center=lambda u: -0.2 + np.exp(-u) * b / a)
     residual = abs(lhs / a - ref) / abs(ref)
     rows = [_det_row("relative_residual", residual, spec.tolerance)]
     return _report(spec.id, rows, spec.chain.seed)
@@ -234,12 +233,17 @@ def _check_marginal_lemma(spec: CheckSpec) -> dict:
     return _report(spec.id, rows, spec.chain.seed)
 
 
-def _random_group_element(rng: np.random.Generator, algebra: GeneratorSet, n_vertices: int) -> GroupElement:
+def _random_group_element(rng: np.random.Generator, algebra: GeneratorSet, n_vertices: int, min_margin=None) -> GroupElement:
+    """Random (a, b, chibar, chi) per inner vertex; with `min_margin`, each
+    vertex's (a, b) is redrawn until 2a^2 - 2b^2 - 1 >= min_margin."""
     odd_gens = [algebra.gen(nm) for nm in algebra.names]
     quads = []
     for _ in range(n_vertices - 1):
-        a = algebra.scalar(math.exp(rng.uniform(-0.6, 0.6)))
-        b = algebra.scalar(rng.uniform(-1.0, 1.0))
+        while True:
+            a, b = math.exp(rng.uniform(-0.6, 0.6)), rng.uniform(-1.0, 1.0)
+            if min_margin is None or 2.0 * a * a - 2.0 * b * b - 1.0 >= min_margin:
+                break
+        a, b = algebra.scalar(a), algebra.scalar(b)
         cb = algebra.zero()
         c = algebra.zero()
         for gnr in odd_gens:
@@ -304,10 +308,8 @@ def _check_theta_conditional(spec: CheckSpec) -> dict:
     n_draws = spec.params.get("n_draws", 100_000)
     u = np.concatenate([0.6 * rng.standard_normal(g.n_inner), [0.0]])
     cov_ref = theta_conditional_covariance(g, u)
-    draws = np.empty((n_draws, g.n_inner))
-    for k in range(n_draws):
-        s = sample_s_given_u(g, u, rng)
-        draws[k] = compute_theta(g, u, s)
+    us = np.broadcast_to(u, (n_draws, g.n_total))
+    draws = compute_theta(g, us, sample_s_given_u(g, us, rng))
     emp = draws.T @ draws / n_draws
     rows = []
     for i in range(g.n_inner):
@@ -494,10 +496,19 @@ def _check_ward(spec: CheckSpec) -> dict:
 
 
 def _check_image_measure_super(spec: CheckSpec) -> dict:
+    """Image-measure identity at a random group element.
+
+    The left side estimates E[T f] with the tilt
+    T = e^{-(a^2+b^2-1) beta - b theta}.  E[T^2] is the Laplace transform at
+    a'^2 = 2a^2 - 2b^2 - 1, which diverges as a' -> 0, so the estimator's
+    variance is infinite when some inner vertex has 2a^2 - 2b^2 <= 1 and
+    huge just above.  The element is therefore drawn with
+    2a^2 - 2b^2 - 1 >= 0.3 at every inner vertex.
+    """
     g = spec.graph or triangle()
     algebra = GeneratorSet(["cb_1", "c_1"])
     rng = np.random.default_rng(spec.chain.seed + 17)
-    v = _random_group_element(rng, algebra, g.n_total)
+    v = _random_group_element(rng, algebra, g.n_total, min_margin=0.3)
     decay = spec.params.get("decay", 0.3)
 
     def f(u, s, psibar, psi, alg):
@@ -507,7 +518,7 @@ def _check_image_measure_super(spec: CheckSpec) -> dict:
             acc = acc - ui.fn("exp") * decay
         return acc.fn("exp")
 
-    return super_image_measure_check(g, v, SuperObservable(f), spec.chain, spec.z_threshold)
+    return super_image_measure_check(g, v, f, spec.chain, spec.z_threshold)
 
 
 # -- registry ----------------------------------------------------------------

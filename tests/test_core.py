@@ -30,6 +30,7 @@ from hypersigma import (
     u_from_beta,
     wired_subgraph,
 )
+from hypersigma.core import _log_rho
 
 finite_floats = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -115,13 +116,18 @@ def test_energy_relations():
 
 @pytest.mark.parametrize("mode", ["quadratic", "spinor"])
 def test_density_representations_agree(mode):
+    """The three forms of log rho agree; the batched kernel behind the direct
+    form gives, row by row, the single-field value."""
     rng = np.random.default_rng(3)
+    batch_rng = np.random.default_rng(4)
     for _ in range(100):
         g = random_graph(rng)
         cfg = random_fields(rng, g.n_total)
         ref = log_rho_density(g, cfg, "direct")
         alt = log_rho_density(g, cfg, mode)
         assert abs(alt - ref) < 1e-10
+        ub, sb = random_batch(batch_rng, g), random_batch(batch_rng, g)
+        assert_rows_match(_log_rho(g, ub, sb), lambda u, s: log_rho_density(g, FieldConfig(u, s)), ub, sb)
 
 
 def test_density_rejects_unknown_mode():
@@ -197,6 +203,7 @@ def test_cartesian_constraint_and_action():
     assert abs(action.body - direct) < 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n_inner", [1, 2, 3, 8])
 def test_field_kernel_error_contract(n_inner):
     """Overflow raises EstimationError at every size, in rho and in the chain

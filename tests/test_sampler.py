@@ -54,24 +54,33 @@ def test_sample_s_conditional_covariance():
     g = triangle()
     rng = np.random.default_rng(3)
     u = np.array([0.4, -0.3, 0.0])
-    draws = np.array([sample_s_given_u(g, u, rng)[:-1] for _ in range(40_000)])
+    draws = sample_s_given_u(g, np.broadcast_to(u, (40_000, g.n_total)), rng)[:, :-1]
     emp = draws.T @ draws / len(draws)
     ref = np.linalg.inv(build_A(g, u)[:-1, :-1])
     assert np.abs(emp - ref).max() < 0.01
+
+
+def test_sample_s_batch_matches_single_draws():
+    """One (N, n_total) call gives, bit for bit, the N single calls made from
+    the same generator state."""
+    g = triangle()
+    u = np.concatenate([np.random.default_rng(5).standard_normal((7, g.n_inner)), np.zeros((7, 1))], axis=1)
+    batch = sample_s_given_u(g, u, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    singles = np.array([sample_s_given_u(g, uk, rng) for uk in u])
+    assert batch.shape == (7, g.n_total)
+    assert np.array_equal(batch, singles)
 
 
 def test_expect_against_quadrature():
     """MC mean of a smooth bounded observable matches the 2-d quadrature."""
     g = single_edge()
 
-    def f_vec(u, s):
+    def f(u, s):
         return np.exp(-(u[:, 0] ** 2) - 0.5 * s[:, 0] ** 2)
 
-    def f_scalar(u, s):
-        return np.exp(-(u[0] ** 2) - 0.5 * s[0] ** 2)
-
-    ref = expect_quadrature_1v(g, f_scalar)
-    est = expect(g, f_vec, ChainConfig(n_samples=200_000, burn_in=2_000, seed=0))
+    ref = expect_quadrature_1v(g, f)
+    est = expect(g, f, ChainConfig(n_samples=200_000, burn_in=2_000, seed=0))
     assert abs(est.mean - ref) < 4.0 * est.stderr
     assert est.stderr < 2e-3
 
@@ -150,6 +159,23 @@ def test_fermion_weight_reduces_to_determinant():
     w = fermion_weight(g, u, algebra)
     red = grassmann_reduce(g, w)
     assert red.body == pytest.approx(np.linalg.det(build_A(g, u)[:-1, :-1]), rel=1e-12)
+
+
+def test_super_expect_soul_weights_keep_normalisation():
+    """Nilpotent additions to the edge weights leave the total mass 1: per
+    sample the body is exactly 1, and the density-ratio correction averages
+    the soul coefficient to 0."""
+    g = triangle()
+    algebra = GeneratorSet(["cb_1", "c_1"])
+    souls = [[algebra.zero()] * g.n_total for _ in range(g.n_total)]
+    for i, j, _ in g.edges():
+        souls[i][j] = souls[j][i] = algebra.gen("cb_1") * algebra.gen("c_1") * 0.4
+    cc = ChainConfig(n_samples=1_000, burn_in=300, n_chains=4, seed=0)
+    est = super_expect(g, lambda u, s, psibar, psi, alg: alg.one(), algebra, cc, soul_weights=souls)
+    assert est.mean[()] == pytest.approx(1.0, abs=1e-12)
+    top = ("cb_1", "c_1")
+    assert est.stderr[top] > 0.0
+    assert abs(est.mean[top]) < 4.0 * est.stderr[top]
 
 
 def test_super_expect_of_one_is_exactly_one():

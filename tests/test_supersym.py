@@ -11,7 +11,6 @@ from hypersigma import (
     FieldConfig,
     GeneratorSet,
     GroupElement,
-    SuperObservable,
     bold_rho,
     build_A,
     compute_phi,
@@ -113,17 +112,16 @@ def test_pullback_composition_follows_group_product():
         c = algebra.gen("c_1") * rng.uniform(-0.5, 0.5)
         return _group_element(algebra, [(a, b, cb, c)])
 
-    f = SuperObservable(probe)
     base_pb = [algebra.gen("cb_1") * 0.3, algebra.zero()]
     base_p = [algebra.gen("c_1") * 0.4, algebra.zero()]
     for _ in range(5):
         v1, v2 = rand_v(), rand_v()
         u = [rng.uniform(-1, 1), 0.0]
         s = [rng.uniform(-1, 1), 0.0]
-        once = super_scale_pullback(v1, super_scale_pullback(v2, f))
+        once = super_scale_pullback(v1, super_scale_pullback(v2, probe))
         lhs = once(u, s, base_pb, base_p, algebra)
         for composed in (v1 * v2, v2 * v1):
-            rhs = super_scale_pullback(composed, f)(u, s, base_pb, base_p, algebra)
+            rhs = super_scale_pullback(composed, probe)(u, s, base_pb, base_p, algebra)
             diff = lhs - rhs
             if max((abs(c) for c in diff.coeffs.values()), default=0.0) < 1e-10:
                 break
