@@ -14,7 +14,7 @@ import numpy as np
 from .graphs import Graph, GraphError, GraphTower
 from .sampler import ChainConfig, sample_s_given_u, sample_u
 from .scaling import ScaleParams, laplace_closed_form
-from .verify import CheckSpec, default_specs, list_check_ids, run_check, run_suite
+from .verify import default_specs, list_check_ids, run_check, run_suite
 
 __all__ = ["main"]
 
@@ -73,7 +73,6 @@ def _build_parser() -> _Parser:
 
     suite_p = sub.add_parser("suite", help="run every check matching a glob pattern")
     suite_p.add_argument("--filter", default="*", help="glob pattern over check ids")
-    suite_p.add_argument("--parallelism", type=int, default=1, help="worker threads")
     suite_p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
     add_output_flags(suite_p)
 
@@ -191,7 +190,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_suite(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    reports, summary = run_suite(pattern=args.filter, parallelism=args.parallelism, seed=seed)
+    reports, summary = run_suite(pattern=args.filter, seed=seed)
     if not reports:
         print(f"error: no check matches pattern {args.filter!r}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,8 +1,9 @@
 """Deterministic quantities of the marginal model.
 
 Coupling matrix A(u), the local observables beta and theta, the conjugated
-matrix H_beta, three equivalent forms of the density rho, Newton inversion of
-beta -> u, and the cartesian coordinate change (including the odd sector).
+matrix H_beta, three equivalent forms of the density rho, the inversion
+beta -> u by one solve with H_beta (H_beta e^{u_V} = eta, eta_i = W_{i delta}),
+and the cartesian coordinate change (including the odd sector).
 """
 
 from __future__ import annotations
@@ -39,9 +40,7 @@ class EstimationError(RuntimeError):
 
 
 class InversionError(RuntimeError):
-    def __init__(self, msg, residual=None):
-        super().__init__(msg)
-        self.residual = residual
+    """beta is not finite or H_beta is not positive definite."""
 
 
 @dataclass(frozen=True)
@@ -191,57 +190,31 @@ def rho_density(g: Graph, cfg: FieldConfig, mode: str = "direct") -> float:
     return float(np.exp(logval))
 
 
-def u_from_beta(
-    g: Graph,
-    beta: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-) -> np.ndarray:
-    """Invert compute_beta by damped Newton iteration started at u = 0.
+def _solve_h_beta(g: Graph, beta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """H_beta^{-1} rhs from one Cholesky factor of H_beta = 2 diag(beta) - W_VV;
+    raises InversionError when beta is not finite or H_beta is not positive
+    definite."""
+    if not np.isfinite(beta).all():
+        raise InversionError("beta must be finite")
+    try:
+        chol = np.linalg.cholesky(2.0 * np.diag(beta) - g.weights[:-1, :-1])
+    except np.linalg.LinAlgError:
+        raise InversionError("H_beta is not positive definite") from None
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
 
-    Raises InversionError (carrying the final residual) when the residual does
-    not fall below `tol` in max-norm within `max_iter` iterations.
-    """
-    beta = np.asarray(beta, dtype=float)
-    n = g.n_inner
-    u = np.zeros(n + 1)
-    res = compute_beta(g, u) - beta
-    for _ in range(max_iter):
-        if np.abs(res).max() <= tol:
-            return u
-        eu = np.exp(u)
-        # d beta_i / d u_j over inner vertices
-        jac = 0.5 * g.weights[:-1, :-1] * np.outer(1.0 / eu[:-1], eu[:-1])
-        np.fill_diagonal(jac, -compute_beta(g, u))
-        try:
-            step = np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError:
-            raise InversionError("singular Jacobian", residual=np.abs(res).max())
-        # damped step: halve until the residual decreases
-        norm0 = np.abs(res).max()
-        lam = 1.0
-        for _ in range(40):
-            trial = u.copy()
-            trial[:-1] = u[:-1] - lam * step
-            new_res = compute_beta(g, trial) - beta
-            if np.abs(new_res).max() < norm0:
-                u, res = trial, new_res
-                break
-            lam *= 0.5
-        else:
-            raise InversionError("line search failed", residual=norm0)
-    if np.abs(res).max() <= tol:
-        return u
-    raise InversionError("Newton iteration did not converge", residual=np.abs(res).max())
+
+def u_from_beta(g: Graph, beta: np.ndarray) -> np.ndarray:
+    """Invert compute_beta by one solve: H_beta e^{u_V} = eta, eta_i = W_{i delta}."""
+    eu = _solve_h_beta(g, beta, g.weights[:-1, -1])
+    return np.append(np.log(eu), 0.0)
 
 
 def s_from_beta_theta(g: Graph, beta: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Recover s with pinned component 0 from (beta, theta) via the u inversion."""
-    u = u_from_beta(g, beta)
-    avv = build_A(g, u)[:-1, :-1]
-    s = np.zeros(g.n_total)
-    s[:-1] = np.linalg.solve(avv, np.exp(u[:-1]) * np.asarray(theta, dtype=float))
-    return s
+    """s (pinned component 0) from theta = H_beta e^{u_V} s_V, with the same
+    factorisation as u_from_beta."""
+    rhs = np.stack([g.weights[:-1, -1], np.asarray(theta, dtype=float)], axis=1)
+    x = _solve_h_beta(g, beta, rhs)
+    return np.append(x[:, 1] / x[:, 0], 0.0)
 
 
 def spinor_det_sides(vi, vj):

@@ -148,14 +148,13 @@ def cartesian_expect_quadrature_1v(
     phi_w = 2.0 * math.pi / n_phi
     acc: dict = {}
     for r, wr in zip(r_nodes, r_w):
+        # z and S_cart = -W_tot (z - 1) (single inner vertex) depend on r only
+        z = (base.scalar(1.0 + r * r) + xi * eta * 2.0).fn("sqrt")
+        radial = z.fn("inverse") * ((base.one() - z) * w_tot).fn("exp")
+        factor = wr * phi_w * r / (2.0 * math.pi)
         for phi in phi_nodes:
             x, y = r * math.cos(phi), r * math.sin(phi)
-            z = (base.scalar(1.0 + x * x + y * y) + xi * eta * 2.0).fn("sqrt")
-            # single inner vertex: S_cart = -W_tot (z - 1)
-            s_cart = (base.one() - z) * w_tot
-            integrand = z.fn("inverse") * s_cart.fn("exp") * f_cart(x, y, xi, eta, base)
-            reduced = berezin_pairs(integrand, [("xi_1", "eta_1")])
-            factor = wr * phi_w * r / (2.0 * math.pi)
+            reduced = berezin_pairs(radial * f_cart(x, y, xi, eta, base), [("xi_1", "eta_1")])
             for m, cval in reduced.coeffs.items():
                 acc[m] = acc.get(m, 0.0) + factor * cval
     return _restrict(GrassmannElement(base, acc), param_algebra)

@@ -23,7 +23,7 @@ from .grassmann import (
     as_even,
 )
 from .graphs import Graph, GraphTower, extend_alpha, wired_subgraph
-from .sampler import ChainConfig, Estimate, _log_target, expect, expect_importance, fermion_weight, super_expect
+from .sampler import ChainConfig, Estimate, _tail_saddle, expect, expect_importance, fermion_weight, super_expect
 from .scaling import ScaleParams, laplace_closed_form
 
 __all__ = [
@@ -576,21 +576,6 @@ def martingale_generating_check(tower: GraphTower, n: int, alpha: dict, tilt: di
     return _report("martingale-generating", rows, cc.seed, threshold)
 
 
-def _tail_saddle(gk: Graph, counts: np.ndarray) -> np.ndarray:
-    """Maximizer of log rho_u(u) + <counts, u> over the inner vertices.
-
-    Locates the ridge that dominates expectations of prod e^{u_{j_p}} under
-    the u-marginal, used to center importance-sampling proposals.
-    """
-    from scipy.optimize import minimize
-
-    def neg(ui):
-        return -(_log_target(gk, ui[None, :])[0] + counts @ ui)
-
-    res = minimize(neg, np.zeros(gk.n_inner), method="Nelder-Mead", options={"xatol": 1e-4, "fatol": 1e-8, "maxiter": 4000})
-    return res.x
-
-
 def martingale_derivative_check(tower: GraphTower, n: int, j_ids, tilt: dict, cc: ChainConfig, threshold: float = 3.0, check_id: str = "martingale-derivatives") -> dict:
     """Two-level test for the derivative martingales M_{j_1,...,j_k} under an
     exponential tilt, against the closed form L * prod (a_j - i b_j)."""
@@ -612,7 +597,7 @@ def martingale_derivative_check(tower: GraphTower, n: int, j_ids, tilt: dict, cc
             saddle = _tail_saddle(gk, counts)
             centers = [0.5 * saddle, saddle]
         cck = replace(cc, seed=cc.seed + seed_shift)
-        est = expect_importance(gk, obs, cck, sigma=1.5, centers=centers)
+        est = expect_importance(gk, obs, cck, centers=centers)
         lap = laplace_closed_form(gk, ScaleParams(a, b))
         ref = lap * np.prod([(a[gk.index_of(v)] - 1j * b[gk.index_of(v)]) for v in j_ids]) if j_ids else lap
         ests.append((est, ref))

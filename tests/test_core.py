@@ -2,6 +2,7 @@
 coordinate change."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypersigma import (
     FieldConfig,
     GeneratorSet,
     Graph,
+    InversionError,
     build_A,
     compute_beta,
     compute_theta,
@@ -31,6 +33,7 @@ from hypersigma import (
     wired_subgraph,
 )
 from hypersigma.core import _log_rho
+from hypersigma.verify import _random_graph
 
 finite_floats = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -152,26 +155,37 @@ def test_spinor_identity_hand_case():
     assert rhs == pytest.approx(-1.0, abs=1e-14)
 
 
+def _round_trip_cases(seed, n_cases=500, scale=2.0):
+    """(graph, u, s) on random graphs with extra edges, fields at `scale`."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_cases):
+        g = _random_graph(rng, max_inner=6)
+        u = np.append(scale * rng.standard_normal(g.n_inner), 0.0)
+        s = np.append(scale * rng.standard_normal(g.n_inner), 0.0)
+        yield g, u, s
+
+
 def test_u_from_beta_round_trip():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        g = random_graph(rng)
-        u = np.concatenate([0.7 * rng.standard_normal(g.n_inner), [0.0]])
-        beta = compute_beta(g, u)
-        u_rec = u_from_beta(g, beta)
-        assert np.abs(compute_beta(g, u_rec) - beta).max() < 1e-8
-        assert np.abs(u_rec - u).max() < 1e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g, u, _ in _round_trip_cases(4):
+            u_rec = u_from_beta(g, compute_beta(g, u))
+            assert np.abs(u_rec - u).max() < 1e-10
+            assert u_rec[-1] == 0.0
 
 
 def test_s_from_beta_theta_round_trip():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g, u, s in _round_trip_cases(5):
+            s_rec = s_from_beta_theta(g, compute_beta(g, u), compute_theta(g, u, s))
+            assert np.abs(s_rec - s).max() < 1e-10
+            assert s_rec[-1] == 0.0
     rng = np.random.default_rng(5)
     for _ in range(50):
         g = random_graph(rng)
         cfg = random_fields(rng, g.n_total)
-        beta = compute_beta(g, cfg.u)
         theta = compute_theta(g, cfg.u, cfg.s)
-        s_rec = s_from_beta_theta(g, beta, theta)
-        assert np.abs(s_rec - cfg.s).max() < 1e-7
         edge_sum = np.zeros(g.n_total)
         for i, j, w in g.edges():
             edge_sum[i] += w * math.exp(cfg.u[j]) * (cfg.s[i] - cfg.s[j])
@@ -179,6 +193,17 @@ def test_s_from_beta_theta_round_trip():
         assert np.abs(theta - edge_sum[:-1]).max() < 1e-12
         ub, sb = random_batch(rng, g), random_batch(rng, g)
         assert_rows_match(compute_theta(g, ub, sb), lambda x, y: compute_theta(g, x, y), ub, sb)
+
+
+@pytest.mark.parametrize("beta", [[0.1, 0.1], [np.nan, 1.0]])
+def test_inversion_rejects_beta_outside_the_image(beta):
+    """At beta = (0.1, 0.1) on the triangle H_beta = 2 diag(beta) - W_VV is not
+    positive definite; a NaN beta is no beta either."""
+    g = triangle()
+    with pytest.raises(InversionError):
+        u_from_beta(g, beta)
+    with pytest.raises(InversionError):
+        s_from_beta_theta(g, beta, [0.3, -0.2])
 
 
 def test_cartesian_constraint_and_action():

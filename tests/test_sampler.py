@@ -8,11 +8,13 @@ from hypersigma import (
     ChainConfig,
     EstimationError,
     GeneratorSet,
+    Graph,
     expect,
     expect_importance,
     fermion_weight,
     gelman_rubin,
     grassmann_reduce,
+    line_tower,
     psi_algebra,
     psi_vectors,
     sample_s_given_u,
@@ -21,8 +23,11 @@ from hypersigma import (
     super_expect,
     theta_conditional_covariance,
     triangle,
+    wired_subgraph,
 )
+from hypersigma import sampler
 from hypersigma.core import build_A, compute_theta
+from hypersigma.sampler import _log_target, _log_target_derivatives, _tail_saddle
 from hypersigma.quadrature import expect_quadrature_1v
 
 
@@ -208,3 +213,73 @@ def test_gelman_rubin_near_one_for_iid():
     rng = np.random.default_rng(0)
     chains = rng.standard_normal((4, 5_000))
     assert abs(gelman_rubin(chains) - 1.0) < 0.01
+
+
+def _wired_box(side):
+    """side x side box of Z^2 with unit weights; the pinned vertex takes one
+    unit of weight for every missing lattice neighbour."""
+    n = side * side
+    w = np.zeros((n + 1, n + 1))
+    for k in range(n):
+        if k % side + 1 < side:
+            w[k, k + 1] = w[k + 1, k] = 1.0
+        if k + side < n:
+            w[k, k + side] = w[k + side, k] = 1.0
+    w[:n, n] = w[n, :n] = 4.0 - w[:n, :n].sum(axis=1)
+    return Graph(tuple(str(k + 1) for k in range(n)) + ("delta",), w)
+
+
+def _central_differences(g, u, h=1e-4):
+    """Gradient and Hessian of _log_target at u by central differences."""
+    n = len(u)
+    steps = h * np.eye(n)
+
+    def f(x):
+        return _log_target(g, x[None, :])[0]
+
+    grad = np.array([(f(u + steps[k]) - f(u - steps[k])) / (2 * h) for k in range(n)])
+    hess = np.empty((n, n))
+    for k in range(n):
+        for m in range(n):
+            pp, pm = f(u + steps[k] + steps[m]), f(u + steps[k] - steps[m])
+            mp, mm = f(u - steps[k] + steps[m]), f(u - steps[k] - steps[m])
+            hess[k, m] = (pp - pm - mp + mm) / (4 * h * h)
+    return grad, hess
+
+
+@pytest.mark.parametrize("name", ["edge", "triangle", "level1", "level2", "level3", "box16"])
+def test_log_target_derivatives_match_central_differences(name):
+    graphs = {
+        "edge": single_edge(1.3),
+        "triangle": triangle(0.7, 1.2, 0.9),
+        "level1": wired_subgraph(line_tower(), 1),
+        "level2": wired_subgraph(line_tower(), 2),
+        "level3": wired_subgraph(line_tower(), 3),
+        "box16": _wired_box(4),
+    }
+    g = graphs[name]
+    u = 0.5 * np.random.default_rng(3).standard_normal(g.n_inner)
+    grad, hess = _log_target_derivatives(g, u)
+    grad_fd, hess_fd = _central_differences(g, u)
+    assert np.abs(grad - grad_fd).max() <= 1e-6 * np.abs(grad_fd).max()
+    assert np.abs(hess - hess_fd).max() <= 1e-6 * np.abs(hess_fd).max()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tail_saddle_single_edge_closed_form(k):
+    """On one edge of weight W the saddle solves sinh u = (k - 1/2)/W."""
+    w = 1.3
+    saddle = _tail_saddle(single_edge(w), np.array([float(k)]))
+    assert abs(saddle[0] - np.arcsinh((k - 0.5) / w)) <= 1e-12
+
+
+def test_tail_saddle_level_3(monkeypatch):
+    g = wired_subgraph(line_tower(), 3)
+    counts = np.array([1.0, 1.0, 1.0, 0.0])
+    saddle = _tail_saddle(g, counts)
+    grad, hess = _log_target_derivatives(g, saddle)
+    assert np.abs(grad + counts).max() <= 1e-8
+    assert np.linalg.eigvalsh(hess).max() < 0.0
+    monkeypatch.setattr(sampler, "SADDLE_MAX_STEPS", 1)
+    with pytest.raises(EstimationError):
+        _tail_saddle(g, counts)
