@@ -61,19 +61,7 @@ from .scaling import (
     scale_fields,
     theta_conditional_covariance,
 )
-from .supersym import (
-    bold_rho,
-    compute_phi,
-    consistency_check,
-    grassmann_laplace_check,
-    martingale_derivative_check,
-    martingale_generating_check,
-    super_image_measure_check,
-    super_jacobian,
-    super_scale_pullback,
-    susy_martingale_check,
-    ward_check,
-)
+from .supersym import bold_rho, compute_phi, super_jacobian, super_scale_pullback
 from .verify import CheckSpec, Report, UnknownCheckError, default_specs, list_check_ids, run_check, run_suite
 
 __version__ = "0.1.0"

@@ -301,28 +301,6 @@ class GrassmannElement:
             names = tuple(self.algebra.names[k] for k in range(len(self.algebra)) if m >> k & 1)
             yield names, self.coeffs[m]
 
-    def to_json(self) -> dict:
-        terms = []
-        for m in sorted(self.coeffs):
-            idx = [k for k in range(len(self.algebra)) if m >> k & 1]
-            c = self.coeffs[m]
-            terms.append({"subset": idx, "coeff": c if not isinstance(c, complex) else [c.real, c.imag]})
-        return {"generators": list(self.algebra.names), "terms": terms}
-
-    @staticmethod
-    def from_json(data: dict) -> "GrassmannElement":
-        alg = GeneratorSet(data["generators"])
-        coeffs = {}
-        for term in data["terms"]:
-            mask = 0
-            for k in term["subset"]:
-                mask |= 1 << k
-            c = term["coeff"]
-            if isinstance(c, list):
-                c = complex(c[0], c[1])
-            coeffs[mask] = c
-        return GrassmannElement(alg, coeffs)
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"

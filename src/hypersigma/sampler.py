@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EstimationError, _avv_logdet, _edge_action
+from .core import EstimationError, _avv_logdet, _edge_action, build_A
 from .grassmann import GeneratorSet, GrassmannElement, berezin_pairs
 from .graphs import Graph
 
@@ -199,8 +199,12 @@ def sample_u(g: Graph, cc: ChainConfig) -> np.ndarray:
 
 def _draw_s(g: Graph, u_inner: np.ndarray, z: np.ndarray) -> np.ndarray:
     """s with covariance A_VV(u)^{-1} on the inner vertices from standard
-    normals z (both shaped (..., n_inner)); the pinned column is appended as 0."""
-    avv, _ = _avv_logdet(g, u_inner)
+    normals z (both shaped (..., n_inner)); the pinned column is appended as 0.
+    Raises EstimationError when A_VV(u) overflows or is not positive definite."""
+    avv = build_A(g, np.concatenate([u_inner, np.zeros(u_inner.shape[:-1] + (1,))], axis=-1))[..., :-1, :-1]
+    # cholesky returns inf/NaN factors for non-finite input instead of raising
+    if not np.isfinite(avv).all():
+        raise EstimationError("A_VV overflowed")
     try:
         chol = np.linalg.cholesky(avv)
     except np.linalg.LinAlgError as exc:

@@ -3,7 +3,9 @@
 Each check compares an implementation of a structural identity against an
 independent route (closed form, quadrature oracle, second coordinate system,
 or a second wired level) and reports per-coefficient residuals or z-scores in
-a machine-readable schema.
+one machine-readable schema: a row per compared coefficient and a verdict
+from the spec's thresholds.  One handler per check turns a `CheckSpec` into
+its report.
 """
 
 from __future__ import annotations
@@ -25,29 +27,33 @@ from .core import (
     rho_density,
     spinor_det_sides,
 )
-from .grassmann import GeneratorSet, GroupElement, sdet
-from .graphs import Graph, GraphTower, line_tower, single_edge, triangle
+from .grassmann import GeneratorSet, GrassmannElement, GroupElement, as_even, sdet
+from .graphs import Graph, GraphTower, extend_alpha, line_tower, single_edge, triangle, wired_subgraph
 from .quadrature import (
     cartesian_expect_quadrature_1v,
     expect_quadrature_1v,
     super_expect_quadrature_1v,
     zeta_integral_1v,
 )
-from .sampler import ChainConfig, expect, grassmann_reduce, psi_algebra, sample_s_given_u
+from .sampler import (
+    ChainConfig,
+    Estimate,
+    _tail_saddle,
+    expect,
+    expect_importance,
+    grassmann_reduce,
+    psi_algebra,
+    sample_s_given_u,
+    super_expect,
+)
 from .scaling import ScaleParams, laplace_closed_form, rescale_weights, theta_conditional_covariance
 from .supersym import (
-    STDERR_FLOOR,
-    _report,
-    _row,
+    _derivative_martingale_observable,
+    _generating_observable,
+    _pairing_exponent,
     bold_rho,
-    consistency_check,
-    grassmann_laplace_check,
-    martingale_derivative_check,
-    martingale_generating_check,
-    super_image_measure_check,
     super_jacobian,
-    susy_martingale_check,
-    ward_check,
+    super_scale_pullback,
 )
 
 __all__ = ["CheckSpec", "Report", "run_check", "run_suite", "default_specs", "list_check_ids", "UnknownCheckError"]
@@ -72,6 +78,12 @@ class CheckSpec:
     def __post_init__(self):
         if self.z_threshold <= 0 or self.tolerance <= 0:
             raise ValueError("policy thresholds must be positive")
+
+
+# -- report schema -----------------------------------------------------------
+
+#: stderr floor preventing division by zero in z-scores for exact observables
+STDERR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -113,7 +125,22 @@ class Report:
         )
 
 
+def _row(subset, estimate, stderr, reference) -> dict:
+    """A statistical row: z = |estimate - reference| / stderr."""
+    se = max(stderr, STDERR_FLOOR)
+    est = complex(estimate)
+    ref = complex(reference)
+    return {
+        "subset": list(subset),
+        "estimate": est.real if abs(est.imag) < 1e-300 else [est.real, est.imag],
+        "stderr": se,
+        "reference": ref.real if abs(ref.imag) < 1e-300 else [ref.real, ref.imag],
+        "z": abs(est - ref) / se,
+    }
+
+
 def _det_row(name: str, residual: float, tol: float) -> dict:
+    """A deterministic row: z is 0 within the tolerance and infinite outside."""
     return {
         "subset": [name],
         "estimate": float(residual),
@@ -121,6 +148,28 @@ def _det_row(name: str, residual: float, tol: float) -> dict:
         "reference": 0.0,
         "z": 0.0 if residual <= tol else float("inf"),
     }
+
+
+def _report(spec: CheckSpec, rows, extra=None, exact: bool = True) -> dict:
+    """The report of `spec`: it passes when every row is within the spec's z
+    threshold and the exact side condition `exact` holds."""
+    verdict = "pass" if exact and all(r["z"] <= spec.z_threshold for r in rows) else "fail"
+    return {"check": spec.id, "verdict": verdict, "seed": spec.chain.seed, "coefficients": rows, **(extra or {})}
+
+
+def _ref_coefficient(ref, subset):
+    if isinstance(ref, GrassmannElement):
+        return ref.coefficient(subset)
+    return ref if subset == () else 0.0
+
+
+def _rows_vs_reference(est: Estimate, ref) -> list:
+    """One row per coefficient of the estimate or of the reference element."""
+    subsets = set(est.mean) | ({names for names, _ in ref.subsets()} if isinstance(ref, GrassmannElement) else {()})
+    return [
+        _row(subset, est.mean.get(subset, 0.0), est.stderr.get(subset, 0.0), _ref_coefficient(ref, subset))
+        for subset in sorted(subsets, key=lambda t: (len(t), t))
+    ]
 
 
 def _random_graph(rng: np.random.Generator, max_inner: int = 4) -> Graph:
@@ -159,7 +208,7 @@ def _check_rho_equivalence(spec: CheckSpec) -> dict:
         logs = [log_rho_density(g, cfg, mode) for mode in ("direct", "quadratic", "spinor")]
         worst = max(worst, max(logs) - min(logs))
     rows = [_det_row("max_log_density_spread", worst, spec.tolerance)]
-    return _report(spec.id, rows, spec.chain.seed)
+    return _report(spec, rows)
 
 
 def _check_spinor_identity(spec: CheckSpec) -> dict:
@@ -177,7 +226,7 @@ def _check_spinor_identity(spec: CheckSpec) -> dict:
         _det_row("hand_case_lhs", abs(hand_lhs + 1.0), spec.tolerance),
         _det_row("hand_case_rhs", abs(hand_rhs + 1.0), spec.tolerance),
     ]
-    return _report(spec.id, rows, spec.chain.seed)
+    return _report(spec, rows)
 
 
 def _check_a_scale_invariance(spec: CheckSpec) -> dict:
@@ -195,7 +244,7 @@ def _check_a_scale_invariance(spec: CheckSpec) -> dict:
         scale = max(np.abs(lhs).max(), 1.0)
         worst = max(worst, np.abs(lhs - rhs).max() / scale)
     rows = [_det_row("max_entry_residual", worst, spec.tolerance)]
-    return _report(spec.id, rows, spec.chain.seed)
+    return _report(spec, rows)
 
 
 def _check_zeta_scaling(spec: CheckSpec) -> dict:
@@ -213,7 +262,7 @@ def _check_zeta_scaling(spec: CheckSpec) -> dict:
     lhs = zeta_integral_1v(fscaled, s_center=lambda u: -0.2 + np.exp(-u) * b / a)
     residual = abs(lhs / a - ref) / abs(ref)
     rows = [_det_row("relative_residual", residual, spec.tolerance)]
-    return _report(spec.id, rows, spec.chain.seed)
+    return _report(spec, rows)
 
 
 def _check_marginal_lemma(spec: CheckSpec) -> dict:
@@ -229,7 +278,7 @@ def _check_marginal_lemma(spec: CheckSpec) -> dict:
         ref = rho_density(g, cfg)
         worst = max(worst, abs(reduced - ref) / max(abs(ref), 1e-300))
     rows = [_det_row("max_relative_residual", worst, spec.tolerance)]
-    return _report(spec.id, rows, spec.chain.seed)
+    return _report(spec, rows)
 
 
 def _random_group_element(rng: np.random.Generator, algebra: GeneratorSet, n_vertices: int, min_margin=None) -> GroupElement:
@@ -266,7 +315,7 @@ def _check_jacobian_sdet(spec: CheckSpec) -> dict:
         residual = max((abs(c) for c in dev.coeffs.values()), default=0.0)
         worst = max(worst, residual)
     rows = [_det_row("max_sdet_deviation", worst, spec.tolerance)]
-    return _report(spec.id, rows, spec.chain.seed)
+    return _report(spec, rows)
 
 
 def _check_cartesian_horospherical(spec: CheckSpec) -> dict:
@@ -294,10 +343,7 @@ def _check_cartesian_horospherical(spec: CheckSpec) -> dict:
     rhs = cartesian_expect_quadrature_1v(g, f_cart, empty).body
     residual = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     rows = [_det_row("relative_residual", residual, spec.tolerance)]
-    rep = _report(spec.id, rows, spec.chain.seed)
-    rep["lhs"] = complex(lhs).real
-    rep["rhs"] = complex(rhs).real
-    return rep
+    return _report(spec, rows, {"lhs": complex(lhs).real, "rhs": complex(rhs).real})
 
 
 def _check_theta_conditional(spec: CheckSpec) -> dict:
@@ -314,8 +360,8 @@ def _check_theta_conditional(spec: CheckSpec) -> dict:
     for i in range(g.n_inner):
         for j in range(i, g.n_inner):
             se = math.sqrt((cov_ref[i, i] * cov_ref[j, j] + cov_ref[i, j] ** 2) / n_draws)
-            rows.append(_row((f"cov_{i}_{j}",), emp[i, j], se, cov_ref[i, j], spec.z_threshold))
-    return _report(spec.id, rows, spec.chain.seed, spec.z_threshold)
+            rows.append(_row((f"cov_{i}_{j}",), emp[i, j], se, cov_ref[i, j]))
+    return _report(spec, rows)
 
 
 # -- statistical checks built from closed forms ------------------------------
@@ -346,13 +392,11 @@ def _check_laplace_real(spec: CheckSpec) -> dict:
     p = _spec_scale_params(spec, g)
     ref = laplace_closed_form(g, p)
     est = expect(g, _tilt_observable(g, p.a, p.b), spec.chain)
-    rows = [_row(("mc",), est.mean, est.stderr, ref, spec.z_threshold)]
+    rows = [_row(("mc",), est.mean, est.stderr, ref)]
     if g.n_inner == 1:
         quad = expect_quadrature_1v(g, _tilt_observable(g, p.a, p.b))
         rows.append(_det_row("quadrature_residual", abs(quad - ref) / abs(ref), spec.tolerance))
-    rep = _report(spec.id, rows, spec.chain.seed, spec.z_threshold)
-    rep["stderr_max"] = float(est.stderr)
-    return rep
+    return _report(spec, rows, {"stderr_max": float(est.stderr)})
 
 
 def _check_radon_nikodym(spec: CheckSpec) -> dict:
@@ -393,129 +437,338 @@ def _check_radon_nikodym(spec: CheckSpec) -> dict:
         el = expect(g, lhs_obs, cc_l)
         er = expect(g2, rhs_obs, cc_r)
         se = math.hypot(el.stderr, lap * er.stderr)
-        rows.append(_row((f"bump_{k}",), el.mean, se, lap * er.mean, spec.z_threshold))
-    return _report(spec.id, rows, spec.chain.seed, spec.z_threshold)
+        rows.append(_row((f"bump_{k}",), el.mean, se, lap * er.mean))
+    return _report(spec, rows)
 
 
 def _check_laplace_grassmann(spec: CheckSpec) -> dict:
+    """MC Grassmann-Laplace transform against its closed form, coefficient by
+    coefficient; on one inner vertex also its body against quadrature."""
     g = spec.graph or single_edge()
     p = _spec_scale_params(spec, g)
     algebra = GeneratorSet(["cb_1", "c_1"])
     chibar = [algebra.gen("cb_1") * spec.params.get("cb_coeff", 0.8)] + [algebra.zero()] * (g.n_total - 1)
     chi = [algebra.gen("c_1") * spec.params.get("c_coeff", 0.6)] + [algebra.zero()] * (g.n_total - 1)
-    rep = grassmann_laplace_check(g, p, chibar, chi, spec.chain, spec.z_threshold)
-    rep["check"] = spec.id
+
+    def f(u, s, psibar, psi, alg):
+        return _pairing_exponent(g, u, s, psibar, psi, alg, p.a, p.b, chibar, chi).fn("exp")
+
+    est = super_expect(g, f, algebra, spec.chain)
+    rows = _rows_vs_reference(est, laplace_closed_form(g, p, chibar, chi, algebra))
     if g.n_inner == 1:
         ref = laplace_closed_form(g, p)
         quad = expect_quadrature_1v(g, _tilt_observable(g, p.a, p.b))
-        rep["coefficients"].append(_det_row("body_quadrature_residual", abs(quad - ref) / abs(ref), spec.tolerance))
-        if rep["coefficients"][-1]["z"] > spec.z_threshold:
-            rep["verdict"] = "fail"
-    return rep
+        rows.append(_det_row("body_quadrature_residual", abs(quad - ref) / abs(ref), spec.tolerance))
+    return _report(spec, rows)
 
 
-def _check_consistency(spec: CheckSpec) -> dict:
-    tower = spec.tower or line_tower()
-    n = spec.params.get("level", 1)
-    params = spec.params.get("vertex_params", {"1": (1.2, 0.3)})
-    return consistency_check(tower, n, params, spec.chain, spec.z_threshold)
-
-
-def _check_martingale_generating(spec: CheckSpec) -> dict:
-    tower = spec.tower or line_tower()
-    n = spec.params.get("level", 1)
-    alpha = spec.params.get("alpha", {"1": -0.7, "3": -0.4})
-    tilt = spec.params.get("tilt", {"1": (1.2, 0.3), "2": (0.9, -0.2)})
-    return martingale_generating_check(tower, n, alpha, tilt, spec.chain, spec.z_threshold)
-
-
-def _check_martingale_super(spec: CheckSpec) -> dict:
-    """Grassmann-valued martingale with odd tilt parameters and an odd source
-    tau on vertex 1, at two consecutive wired levels."""
-    tower = spec.tower or line_tower()
-    algebra = GeneratorSet(["cb_1", "c_1", "tau_1"])
-    params = {"1": (1.2, 0.3, algebra.gen("cb_1") * 0.8, algebra.gen("c_1") * 0.6)}
-    tau = {"1": algebra.gen("tau_1") * 0.5}
-    n = spec.params.get("level", 1)
-    return susy_martingale_check(tower, n, {"1": -0.7}, tau, params, spec.chain, spec.z_threshold)
-
-
-def _merged_derivative_check(spec: CheckSpec, j_sets) -> dict:
-    tower = spec.tower or line_tower()
-    n = spec.params.get("level", 2)
-    # damping tilt: entries a >= 1 keep the heavy e^{ku} tails integrable in MC
-    tilt = spec.params.get("tilt", {"1": (1.15, 0.2), "2": (1.1, -0.15), "3": (1.05, 0.1)})
-    rows = []
-    verdict = "pass"
-    for k, j_ids in enumerate(j_sets):
-        cc = replace(spec.chain, seed=spec.chain.seed + 10 * k)
-        rep = martingale_derivative_check(tower, n, list(j_ids), tilt, cc, spec.z_threshold, spec.id)
-        label = "+".join(j_ids) if j_ids else "unit"
-        for r in rep["coefficients"]:
-            r = dict(r)
-            r["subset"] = [label] + list(r["subset"])
-            rows.append(r)
-        if rep["verdict"] == "fail":
-            verdict = "fail"
-    rep = _report(spec.id, rows, spec.chain.seed, spec.z_threshold)
-    rep["verdict"] = verdict
-    return rep
-
-
-def _check_martingale_derivatives(spec: CheckSpec) -> dict:
-    j_sets = spec.params.get("j_sets", [("1",), ("1", "2"), ("1", "2", "3")])
-    return _merged_derivative_check(spec, j_sets)
-
-
-def _check_martingale_special_cases(spec: CheckSpec) -> dict:
-    """Powers and products of the per-vertex factor e^{u_j}(1 + i s_j).
-
-    Repeated indices realize the listed polynomial observables, for example
-    the pair (j, j) gives e^{2u_j}(1 - s_j^2) + 2 i s_j e^{2u_j}.
-    """
-    j_sets = spec.params.get("j_sets", [("1", "1"), ("1", "1", "1"), ("1", "1", "2")])
-    return _merged_derivative_check(spec, j_sets)
+# -- Grassmann-valued identity checks ----------------------------------------
 
 
 def _check_ward(spec: CheckSpec) -> dict:
+    """Ward identity: E[e^{<alpha, e^u(1+is)> + <tau, e^u(psibar+i psi)>}]
+    equals e^{<alpha, 1>}; every tau-bearing coefficient vanishes."""
     g = spec.graph or triangle()
     alpha = np.asarray(spec.params.get("alpha", [-1.0] + [0.0] * (g.n_total - 1)), dtype=float)
+    if np.any(alpha > 0):
+        raise ValueError("alpha must be nonpositive")
     tau_coeffs = spec.params.get("tau", {"1": 0.8, "2": 0.6})
-    names = [f"tau_{vid}" for vid in tau_coeffs]
-    algebra = GeneratorSet(names)
-    tau = []
-    for vid in g.vertex_ids:
-        if vid in tau_coeffs:
-            tau.append(algebra.gen(f"tau_{vid}") * tau_coeffs[vid])
-        else:
-            tau.append(algebra.zero())
-    return ward_check(g, alpha, tau, spec.chain, spec.z_threshold)
+    algebra = GeneratorSet([f"tau_{vid}" for vid in tau_coeffs])
+    tau = [algebra.gen(f"tau_{vid}") * tau_coeffs[vid] if vid in tau_coeffs else algebra.zero() for vid in g.vertex_ids]
+
+    def f(u, s, psibar, psi, alg):
+        acc = alg.zero()
+        for i in range(g.n_total):
+            eu = as_even(u[i], alg).fn("exp")
+            acc = acc + (eu + eu * as_even(s[i], alg) * 1j) * alpha[i]
+            if not tau[i].is_zero(0.0):
+                acc = acc + tau[i].embed(alg) * (eu * (psibar[i] + psi[i] * 1j))
+        return acc.fn("exp")
+
+    est = super_expect(g, f, algebra, spec.chain)
+    rows = _rows_vs_reference(est, algebra.scalar(math.exp(alpha.sum())))
+    # tau-bearing coefficients that cancel exactly per sample are pruned from
+    # the estimate; report them as explicit zero rows
+    seen = {tuple(r["subset"]) for r in rows}
+    for mask in range(1, 1 << len(algebra)):
+        names = tuple(algebra.names[k] for k in range(len(algebra)) if mask >> k & 1)
+        if names not in seen:
+            rows.append(_row(names, est.mean.get(names, 0.0), est.stderr.get(names, 0.0), 0.0))
+    return _report(spec, rows)
+
+
+def _scaled_estimate(est: Estimate, const: GrassmannElement, algebra: GeneratorSet) -> Estimate:
+    """Multiply a Grassmann-valued estimate by a constant even element.
+
+    Coefficient stderrs combine in quadrature through the bilinear expansion.
+    """
+
+    def mask_of(names):
+        return sum(1 << algebra.index[nm] for nm in names)
+
+    mean_elt = GrassmannElement(algebra, {mask_of(names): val for names, val in est.mean.items()}) * const
+    var: dict = {}
+    for names_c, c in const.subsets():
+        mask_c = mask_of(names_c)
+        for names_e, se in est.stderr.items():
+            mask_e = mask_of(names_e)
+            if mask_c & mask_e:
+                continue
+            m = mask_c | mask_e
+            var[m] = var.get(m, 0.0) + (abs(c) * se) ** 2
+    mean, stderr = {}, {}
+    for m in set(mean_elt.coeffs) | set(var):
+        names = tuple(algebra.names[k] for k in range(len(algebra)) if m >> k & 1)
+        mean[names] = mean_elt.coeffs.get(m, 0.0)
+        stderr[names] = math.sqrt(var.get(m, 0.0))
+    return Estimate(mean=mean, stderr=stderr, n_effective=est.n_effective, seed=est.seed)
 
 
 def _check_image_measure_super(spec: CheckSpec) -> dict:
-    """Image-measure identity at a random group element.
+    """Two-sided image-measure identity at a random group element v.
 
-    The left side estimates E[T f] with the tilt
-    T = e^{-(a^2+b^2-1) beta - b theta}.  E[T^2] is the Laplace transform at
+    Left side: E_{mu^W}[f e^{-<pi, varpi>}].  Right side: L(a, b, chibar, chi)
+    times E_{mu^{W^a}}[pullback of f along v].  The left side's tilt is
+    T = e^{-(a^2+b^2-1) beta - b theta}, and E[T^2] is the Laplace transform at
     a'^2 = 2a^2 - 2b^2 - 1, which diverges as a' -> 0, so the estimator's
     variance is infinite when some inner vertex has 2a^2 - 2b^2 <= 1 and
     huge just above.  The element is therefore drawn with
-    2a^2 - 2b^2 - 1 >= 0.3 at every inner vertex.
+    2a^2 - 2b^2 - 1 >= 0.3 at every inner vertex; its a entries are plain
+    numbers, so the rescaled weights W^a are too.
     """
     g = spec.graph or triangle()
     algebra = GeneratorSet(["cb_1", "c_1"])
     rng = np.random.default_rng(spec.chain.seed + 17)
     v = _random_group_element(rng, algebra, g.n_total, min_margin=0.3)
+    a, b, chibar, chi = map(list, zip(*v.quads))
     decay = spec.params.get("decay", 0.3)
 
     def f(u, s, psibar, psi, alg):
         acc = alg.zero()
         for i in range(len(u)):
-            ui = u[i] if hasattr(u[i], "algebra") else alg.scalar(u[i])
-            acc = acc - ui.fn("exp") * decay
+            acc = acc - as_even(u[i], alg).fn("exp") * decay
         return acc.fn("exp")
 
-    return super_image_measure_check(g, v, f, spec.chain, spec.z_threshold)
+    def lhs_f(u, s, psibar, psi, alg):
+        tilt = _pairing_exponent(g, u, s, psibar, psi, alg, a, b, chibar, chi).fn("exp")
+        return tilt * as_even(f(u, s, psibar, psi, alg), alg)
+
+    lhs = super_expect(g, lhs_f, algebra, spec.chain)
+    a_body = np.array([complex(x.body).real for x in a])
+    g_scaled = Graph(g.vertex_ids, g.weights * np.outer(a_body, a_body))
+    rhs_cc = replace(spec.chain, seed=spec.chain.seed + 1)
+    rhs_raw = super_expect(g_scaled, super_scale_pullback(v, f), algebra, rhs_cc)
+    rhs = _scaled_estimate(rhs_raw, laplace_closed_form(g, (a, b), chibar, chi, algebra), algebra)
+
+    rows = []
+    for subset in sorted(set(lhs.mean) | set(rhs.mean), key=lambda t: (len(t), t)):
+        se = math.hypot(lhs.stderr.get(subset, 0.0), rhs.stderr.get(subset, 0.0))
+        rows.append(_row(subset, lhs.mean.get(subset, 0.0), se, rhs.mean.get(subset, 0.0)))
+    return _report(spec, rows)
+
+
+# -- tower checks ------------------------------------------------------------
+
+
+def _tilt_arrays(gk: Graph, tilt: dict):
+    """Per-vertex (a, b) on a wired level from {vertex id: (a, b)}; (1, 0)
+    elsewhere, and entries outside the level are dropped."""
+    a = np.ones(gk.n_total)
+    b = np.zeros(gk.n_total)
+    for vid, (av, bv) in tilt.items():
+        if vid in gk.vertex_ids[:-1]:
+            i = gk.index_of(vid)
+            a[i], b[i] = av, bv
+    return a, b
+
+
+def _check_consistency(spec: CheckSpec) -> dict:
+    """Closed-form level consistency L_n = L_{n+1} plus MC moment matching of
+    (beta, theta) on V_n across the two wired levels."""
+    tower = spec.tower or line_tower()
+    n = spec.params.get("level", 1)
+    params = spec.params.get("vertex_params", {"1": (1.2, 0.3)})
+    g_n = wired_subgraph(tower, n)
+    g_n1 = wired_subgraph(tower, n + 1)
+    for vid in params:
+        if vid not in tower.levels[n]:
+            raise ValueError(f"parameter support {vid!r} outside level {n}")
+
+    lap_n = laplace_closed_form(g_n, ScaleParams(*_tilt_arrays(g_n, params)))
+    lap_n1 = laplace_closed_form(g_n1, ScaleParams(*_tilt_arrays(g_n1, params)))
+    closed_res = abs(lap_n - lap_n1) / abs(lap_n)
+    rows = [{**_det_row("closed_form", closed_res, spec.tolerance), "estimate": lap_n, "reference": lap_n1}]
+
+    level_ids = list(tower.levels[n])
+    names = (
+        [f"beta_{v}" for v in level_ids]
+        + [f"theta_{v}" for v in level_ids]
+        + [f"beta2_{v}" for v in level_ids]
+        + [f"theta2_{v}" for v in level_ids]
+    )
+
+    def moments(gk, cck):
+        idx = [gk.index_of(v) for v in level_ids]
+
+        def obs_pack(u, s):
+            beta = compute_beta(gk, u)[:, idx]
+            theta = compute_theta(gk, u, s)[:, idx]
+            return np.concatenate([beta, theta, beta**2, theta**2], axis=1)
+
+        return expect(gk, obs_pack, cck)
+
+    m_n = moments(g_n, spec.chain)
+    m_n1 = moments(g_n1, replace(spec.chain, seed=spec.chain.seed + 1))
+    for col, name in enumerate(names):
+        se = math.hypot(m_n.stderr[col], m_n1.stderr[col])
+        rows.append(_row((name,), m_n.mean[col], se, m_n1.mean[col]))
+    return _report(spec, rows, {"closed_form_residual": closed_res})
+
+
+def _check_martingale_generating(spec: CheckSpec) -> dict:
+    """Two-level test of the exponential generating observable under a tilt.
+
+    At both levels the estimate is compared to the closed form
+    L(a, b) * e^{<alpha, a - i b>} (alpha summed onto the boundary outside the
+    level) and the two levels are compared to each other.
+    """
+    tower = spec.tower or line_tower()
+    n = spec.params.get("level", 1)
+    alpha = spec.params.get("alpha", {"1": -0.7, "3": -0.4})
+    tilt = spec.params.get("tilt", {"1": (1.2, 0.3), "2": (0.9, -0.2)})
+    rows = []
+    ests = []
+    for k, seed_shift in ((n, 0), (n + 1, 1)):
+        gk = wired_subgraph(tower, k)
+        alpha_k = extend_alpha(tower, alpha, k)
+        a, b = _tilt_arrays(gk, tilt)
+        est = expect(gk, _generating_observable(gk, alpha_k, a, b), replace(spec.chain, seed=spec.chain.seed + seed_shift))
+        ref = laplace_closed_form(gk, ScaleParams(a, b)) * np.exp(alpha_k @ (a - 1j * b))
+        ests.append(est)
+        rows.append(_row((f"level_{k}",), est.mean, est.stderr, ref))
+    e0, e1 = ests
+    rows.append(_row(("cross_level",), e0.mean, math.hypot(e0.stderr, e1.stderr), e1.mean))
+    return _report(spec, rows)
+
+
+def _susy_level_estimate(tower, k, alpha, tau, params, algebra, cc):
+    """E over level k of M_{alpha,tau} e^{-<pi, varpi>} plus its closed form.
+
+    `params` maps vertex ids to [a, b, chibar, chi] (identity elsewhere) and
+    `tau` to odd sources; both are kept on the level, since the pinned odd
+    fields vanish and nothing aggregates onto the boundary."""
+    gk = wired_subgraph(tower, k)
+    alpha_k = extend_alpha(tower, alpha, k)
+    level = list(tower.levels[k])
+    tau_k = {v: t for v, t in tau.items() if v in level}
+    zero = algebra.zero()
+    quads = [params.get(vid, (1.0, 0.0, zero, zero)) for vid in level] + [(1.0, 0.0, zero, zero)]
+    a = [as_even(q[0], algebra) for q in quads]
+    b = [as_even(q[1], algebra) for q in quads]
+    cb = [q[2] for q in quads]
+    c = [q[3] for q in quads]
+
+    def f(u, s, psibar, psi, alg):
+        acc = _pairing_exponent(gk, u, s, psibar, psi, alg, a, b, cb, c)
+        for i in range(gk.n_total):
+            eu = as_even(u[i], alg).fn("exp")
+            acc = acc + (eu + eu * as_even(s[i], alg) * 1j) * alpha_k[i]
+            vid = gk.vertex_ids[i]
+            if vid in tau_k:
+                acc = acc + tau_k[vid].embed(alg) * (eu * (psibar[i] + psi[i] * 1j))
+        return acc.fn("exp")
+
+    est = super_expect(gk, f, algebra, cc)
+
+    lap = laplace_closed_form(gk, (a, b), cb, c, algebra)
+    scalar_exp = 0.0 + 0.0j
+    for i in range(gk.n_total):
+        scalar_exp += alpha_k[i] * (complex(a[i].body) - 1j * complex(b[i].body))
+    odd_exp = algebra.zero()
+    for i in range(gk.n_inner):
+        vid = gk.vertex_ids[i]
+        if vid in tau_k:
+            odd_exp = odd_exp - tau_k[vid] * (cb[i] + c[i] * 1j)
+    return est, lap * (complex(math.e) ** scalar_exp) * odd_exp.fn("exp")
+
+
+def _check_martingale_super(spec: CheckSpec) -> dict:
+    """Grassmann-valued martingale with odd tilt parameters and an odd source
+    tau on vertex 1, at two consecutive wired levels.
+
+    Both levels are compared to the shared closed form L * e^{<alpha, a-ib>}
+    * e^{-<tau, chibar+i chi>} and to each other; the closed forms of the two
+    levels must agree within the spec's tolerance.
+    """
+    tower = spec.tower or line_tower()
+    n = spec.params.get("level", 1)
+    algebra = GeneratorSet(["cb_1", "c_1", "tau_1"])
+    params = {"1": (1.2, 0.3, algebra.gen("cb_1") * 0.8, algebra.gen("c_1") * 0.6)}
+    tau = {"1": algebra.gen("tau_1") * 0.5}
+    alpha = {"1": -0.7}
+    cc2 = replace(spec.chain, seed=spec.chain.seed + 1)
+    est_n, ref_n = _susy_level_estimate(tower, n, alpha, tau, params, algebra, spec.chain)
+    est_n1, ref_n1 = _susy_level_estimate(tower, n + 1, alpha, tau, params, algebra, cc2)
+
+    rows = []
+    for subset in sorted(set(est_n.mean) | set(est_n1.mean), key=lambda t: (len(t), t)):
+        ref = _ref_coefficient(ref_n, subset)
+        rows.append(_row(subset, est_n.mean.get(subset, 0.0), est_n.stderr.get(subset, 0.0), ref))
+        rows.append(_row(subset, est_n1.mean.get(subset, 0.0), est_n1.stderr.get(subset, 0.0), ref))
+        se = math.hypot(est_n.stderr.get(subset, 0.0), est_n1.stderr.get(subset, 0.0))
+        rows.append(_row(subset, est_n.mean.get(subset, 0.0), se, est_n1.mean.get(subset, 0.0)))
+    closed_res = max(
+        abs(_ref_coefficient(ref_n, s) - _ref_coefficient(ref_n1, s))
+        for s in set(dict(ref_n.subsets())) | set(dict(ref_n1.subsets()))
+    )
+    return _report(spec, rows, {"closed_form_residual": closed_res}, exact=closed_res <= spec.tolerance)
+
+
+#: default index multisets j of the two derivative-martingale checks; repeated
+#: indices realize powers and products of the per-vertex factor
+#: e^{u_j}(1 + i s_j), e.g. the pair (j, j) gives e^{2u_j}(1 - s_j^2) + 2 i s_j e^{2u_j}
+_DERIVATIVE_J_SETS = {
+    "martingale-derivatives": [("1",), ("1", "2"), ("1", "2", "3")],
+    "martingale-special-cases": [("1", "1"), ("1", "1", "1"), ("1", "1", "2")],
+}
+
+
+def _check_martingale_derivatives(spec: CheckSpec) -> dict:
+    """Two-level test of the derivative martingales M_{j_1,...,j_k} under an
+    exponential tilt, against the closed form L * prod (a_j - i b_j), for each
+    multiset j (rows labelled by it) at two consecutive wired levels."""
+    tower = spec.tower or line_tower()
+    n = spec.params.get("level", 2)
+    # damping tilt: entries a >= 1 keep the heavy e^{ku} tails integrable in MC
+    tilt = spec.params.get("tilt", {"1": (1.15, 0.2), "2": (1.1, -0.15), "3": (1.05, 0.1)})
+    rows = []
+    for k, j_ids in enumerate(spec.params.get("j_sets", _DERIVATIVE_J_SETS[spec.id])):
+        label = "+".join(j_ids) if j_ids else "unit"
+        ests = []
+        for level, seed_shift in ((n, 0), (n + 1, 1)):
+            gk = wired_subgraph(tower, level)
+            a, b = _tilt_arrays(gk, tilt)
+            # the observable grows like prod e^{u_{j_p}}, so the mean is dominated
+            # by rare correlated excursions of u; importance sampling with mixture
+            # components along the path to the saddle of log rho + <k, u> covers
+            # both the bulk and the dominating ridge
+            obs = _derivative_martingale_observable(gk, j_ids, a, b)
+            counts = np.zeros(gk.n_inner)
+            for vid in j_ids:
+                counts[gk.index_of(vid)] += 1.0
+            centers = None
+            if j_ids:
+                saddle = _tail_saddle(gk, counts)
+                centers = [0.5 * saddle, saddle]
+            cck = replace(spec.chain, seed=spec.chain.seed + 10 * k + seed_shift)
+            est = expect_importance(gk, obs, cck, centers=centers)
+            lap = laplace_closed_form(gk, ScaleParams(a, b))
+            ref = lap * np.prod([a[gk.index_of(v)] - 1j * b[gk.index_of(v)] for v in j_ids]) if j_ids else lap
+            ests.append(est)
+            rows.append(_row((label, f"level_{level}"), est.mean, est.stderr, ref))
+        e0, e1 = ests
+        rows.append(_row((label, "cross_level"), e0.mean, math.hypot(e0.stderr, e1.stderr), e1.mean))
+    return _report(spec, rows)
 
 
 # -- registry ----------------------------------------------------------------
@@ -533,7 +786,7 @@ _HANDLERS = {
     "martingale-generating": _check_martingale_generating,
     "martingale-super": _check_martingale_super,
     "martingale-derivatives": _check_martingale_derivatives,
-    "martingale-special-cases": _check_martingale_special_cases,
+    "martingale-special-cases": _check_martingale_derivatives,
     "ward": _check_ward,
     "marginal-lemma": _check_marginal_lemma,
     "jacobian-sdet": _check_jacobian_sdet,
@@ -589,7 +842,6 @@ def run_check(spec: CheckSpec) -> Report:
     t0 = time.perf_counter()
     data = _HANDLERS[spec.id](spec)
     data["runtime_s"] = time.perf_counter() - t0
-    data["check"] = spec.id
     return Report.from_dict(data)
 
 

@@ -231,9 +231,9 @@ def test_cartesian_constraint_and_action():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n_inner", [1, 2, 3, 8])
 def test_field_kernel_error_contract(n_inner):
-    """Overflow raises EstimationError at every size, in rho and in the chain
-    target alike; an underflowing rho is 0.0."""
-    from hypersigma.sampler import _log_target
+    """Overflow raises EstimationError at every size, in rho, in the chain
+    target and in the conditional s-draw alike; an underflowing rho is 0.0."""
+    from hypersigma.sampler import _log_target, sample_s_given_u
 
     g = wired_subgraph(line_tower(n_inner), n_inner - 1) if n_inner > 1 else single_edge()
     assert g.n_inner == n_inner
@@ -244,6 +244,8 @@ def test_field_kernel_error_contract(n_inner):
         rho_density(g, cfg)
     with pytest.raises(EstimationError):
         _log_target(g, u[None, :-1])
+    with pytest.raises(EstimationError):
+        sample_s_given_u(g, u[None], np.random.default_rng(0))
     u[0] = -700.0
     assert rho_density(g, FieldConfig(u, np.zeros(g.n_total))) == 0.0
     assert hypersigma.sampler.EstimationError is EstimationError

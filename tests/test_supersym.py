@@ -1,5 +1,5 @@
-"""Superdensity, pullbacks, odd observables, and the statistical identity
-checks built on them."""
+"""Superdensity, pullbacks, odd observables, and the registered checks that
+estimate them."""
 
 import math
 
@@ -8,6 +8,7 @@ import pytest
 
 from hypersigma import (
     ChainConfig,
+    CheckSpec,
     FieldConfig,
     GeneratorSet,
     GroupElement,
@@ -16,17 +17,15 @@ from hypersigma import (
     compute_phi,
     grassmann_reduce,
     line_tower,
-    martingale_derivative_check,
-    martingale_generating_check,
     psi_algebra,
     psi_vectors,
     rho_density,
+    run_check,
     sdet,
     single_edge,
     super_jacobian,
     super_scale_pullback,
     triangle,
-    ward_check,
 )
 
 
@@ -130,33 +129,30 @@ def test_pullback_composition_follows_group_product():
 
 
 def test_ward_check_small_run():
-    g = triangle()
-    algebra = GeneratorSet(["tau_1"])
-    tau = [algebra.gen("tau_1") * 0.7, algebra.zero(), algebra.zero()]
-    alpha = np.array([-1.0, 0.0, 0.0])
-    rep = ward_check(g, alpha, tau, ChainConfig(n_samples=4_000, burn_in=800, n_chains=4, seed=0))
-    assert rep["verdict"] == "pass"
-    body = next(r for r in rep["coefficients"] if r["subset"] == [])
+    cc = ChainConfig(n_samples=4_000, burn_in=800, n_chains=4, seed=0)
+    rep = run_check(CheckSpec("ward", graph=triangle(), params={"alpha": [-1.0, 0.0, 0.0], "tau": {"1": 0.7}}, chain=cc))
+    assert rep.verdict == "pass"
+    body = next(r for r in rep.coefficients if r["subset"] == [])
     assert body["reference"] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_martingale_generating_two_levels():
-    tower = line_tower()
     cc = ChainConfig(n_samples=20_000, burn_in=1_500, n_chains=8, seed=1)
-    rep = martingale_generating_check(tower, 1, {"1": -0.7}, {"1": (1.2, 0.3)}, cc)
-    assert rep["verdict"] == "pass"
+    params = {"level": 1, "alpha": {"1": -0.7}, "tilt": {"1": (1.2, 0.3)}}
+    rep = run_check(CheckSpec("martingale-generating", tower=line_tower(), params=params, chain=cc))
+    assert rep.verdict == "pass"
 
 
 def test_martingale_derivative_rejects_large_multisets():
-    tower = line_tower()
     cc = ChainConfig(n_samples=2_000, burn_in=500, n_chains=4, seed=0)
+    params = {"level": 2, "j_sets": [("1", "1", "1", "1")], "tilt": {}}
     with pytest.raises(ValueError):
-        martingale_derivative_check(tower, 2, ["1", "1", "1", "1"], {}, cc)
+        run_check(CheckSpec("martingale-derivatives", tower=line_tower(), params=params, chain=cc))
 
 
 def test_consistency_runs_each_level_chain_once(monkeypatch):
     """All moment columns of a level are read from one chain."""
-    from hypersigma import consistency_check, sampler
+    from hypersigma import sampler
 
     calls = []
     run_chains = sampler._run_chains
@@ -167,6 +163,7 @@ def test_consistency_runs_each_level_chain_once(monkeypatch):
 
     monkeypatch.setattr(sampler, "_run_chains", counting)
     cc = ChainConfig(n_samples=2_000, burn_in=300, n_chains=4, seed=3)
-    rep = consistency_check(line_tower(), 1, {"1": (1.2, 0.3)}, cc)
+    params = {"level": 1, "vertex_params": {"1": (1.2, 0.3)}}
+    rep = run_check(CheckSpec("consistency", tower=line_tower(), params=params, chain=cc))
     assert calls == [3, 4]
-    assert len(rep["coefficients"]) == 1 + 4 * 2
+    assert len(rep.coefficients) == 1 + 4 * 2

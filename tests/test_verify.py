@@ -131,3 +131,23 @@ def test_importance_sampled_check_does_not_import_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_closed_form_comparisons_use_the_spec_tolerance(monkeypatch):
+    """A 1e-13 gap between the closed forms of two wired levels passes at
+    tolerance 1e-12 and fails at 1e-14, in consistency's closed_form row and in
+    martingale-super's closed-form verdict (whose z-scored rows are waived)."""
+    exact = verify.laplace_closed_form
+
+    def gapped(g, *args, **kwargs):
+        return exact(g, *args, **kwargs) * (1.0 + 1e-13 * g.n_inner)
+
+    monkeypatch.setattr(verify, "laplace_closed_form", gapped)
+    cc = ChainConfig(n_samples=200, burn_in=100, n_chains=2, seed=0)
+    for tol, z, verdict in ((1e-12, 0.0, "pass"), (1e-14, float("inf"), "fail")):
+        rep = run_check(CheckSpec("consistency", chain=cc, tolerance=tol))
+        assert rep.coefficients[0]["subset"] == ["closed_form"]
+        assert rep.coefficients[0]["z"] == z
+        rep = run_check(CheckSpec("martingale-super", chain=cc, tolerance=tol, z_threshold=1e9))
+        assert 1e-14 < rep.extra["closed_form_residual"] < 1e-12
+        assert rep.verdict == verdict
