@@ -98,8 +98,8 @@ def h_beta(g: Graph, u: np.ndarray) -> np.ndarray:
     return emu[:, None] * build_A(g, u) * emu[None, :]
 
 
-def _avv_logdet(g: Graph, u_inner: np.ndarray):
-    """A_VV(u) and log det A_VV(u) for u_inner of shape (..., n_inner).
+def _avv_logdet(g: Graph, u_inner: np.ndarray) -> np.ndarray:
+    """log det A_VV(u) for u_inner of shape (..., n_inner).
 
     The pinned component of u is 0.  Closed-form determinants for n_inner <= 3,
     an LU factorization (slogdet) above.  Raises EstimationError when A_VV
@@ -127,7 +127,7 @@ def _avv_logdet(g: Graph, u_inner: np.ndarray):
         logdet = np.log(det) if ok else None
     if not ok:
         raise EstimationError("A_VV overflowed or lost positive definiteness")
-    return avv, logdet
+    return logdet
 
 
 #: below this log value exp underflows float64 to 0, so rho reads as 0.0
@@ -150,8 +150,7 @@ def _log_rho(g: Graph, u: np.ndarray, s: np.ndarray) -> np.ndarray:
 
     Raises EstimationError when A_VV(u) overflows or is not positive definite.
     """
-    _, logdet = _avv_logdet(g, u[..., :-1])
-    return logdet - (g.edge_arrays[2] * _edge_action(g, u, s)).sum(axis=-1)
+    return _avv_logdet(g, u[..., :-1]) - (g.edge_arrays[2] * _edge_action(g, u, s)).sum(axis=-1)
 
 
 def log_rho_density(g: Graph, cfg: FieldConfig, mode: str = "direct") -> float:
@@ -162,7 +161,7 @@ def log_rho_density(g: Graph, cfg: FieldConfig, mode: str = "direct") -> float:
     u, s = cfg.u, cfg.s
     if mode == "direct":
         return float(_log_rho(g, u, s))
-    _, logdet = _avv_logdet(g, u[:-1])
+    logdet = _avv_logdet(g, u[:-1])
     if mode == "quadratic":
         a = build_A(g, u)
         emu = np.exp(-u)

@@ -13,10 +13,10 @@ import math
 
 import numpy as np
 
-from .core import LOG_UNDERFLOW, _log_rho, build_A
+from .core import LOG_UNDERFLOW, _log_rho
 from .grassmann import GeneratorSet, GrassmannElement, berezin_pairs
 from .graphs import Graph
-from .sampler import fermion_weight, grassmann_reduce, psi_algebra, psi_vectors
+from .sampler import _berezin_coefficients
 
 __all__ = [
     "expect_quadrature_1v",
@@ -35,22 +35,6 @@ def _gauss_grid(lo: float, hi: float, n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
-
-
-def _restrict(x: GrassmannElement, param_algebra: GeneratorSet) -> GrassmannElement:
-    """Coefficients of x on monomials of the parameter generators only, over
-    `param_algebra` (the integrated generators are fully reduced); x itself
-    when there are no parameter generators."""
-    if not param_algebra.names:
-        return x
-    coeffs = {}
-    for names, cval in x.subsets():
-        if all(nm in param_algebra.index for nm in names):
-            mask = 0
-            for nm in names:
-                mask |= 1 << param_algebra.index[nm]
-            coeffs[mask] = cval
-    return GrassmannElement(param_algebra, coeffs)
 
 
 def _total_weight(g: Graph) -> float:
@@ -85,11 +69,14 @@ def _horospherical_rows(g: Graph, n_u: int, n_t: int, u_lim: float, t_lim: float
 def expect_quadrature_1v(g: Graph, f, n_u: int = 240, n_t: int = 120, u_lim: float = 12.0, t_lim: float = 10.0):
     """E[f(u, s)] on a single-inner-vertex graph.
 
-    Like `expect`'s observables, `f(u, s)` takes (N, n_total) arrays; it is
-    called once per u-row of the grid, on the nodes where rho does not
-    underflow.
+    Like `expect`'s observables, `f(u, s)` takes (N, n_total) arrays and
+    returns a vector of length N, or an (N, k) array of k observables, for
+    which the result is the array of their k expectations.  It is called once
+    per u-row of the grid, on the nodes where rho does not underflow.
     """
-    return sum((w * f(u, s)).sum() for u, s, w in _horospherical_rows(g, n_u, n_t, u_lim, t_lim))
+    # each row of the transpose is summed contiguously, as a single observable is
+    rows = _horospherical_rows(g, n_u, n_t, u_lim, t_lim)
+    return sum((w * np.ascontiguousarray(np.transpose(f(u, s)))).sum(axis=-1) for u, s, w in rows)
 
 
 def super_expect_quadrature_1v(
@@ -105,23 +92,14 @@ def super_expect_quadrature_1v(
 
     f has the sampler evaluator signature (u, s, psibar, psi, algebra); at
     every node the fermionic sector is reduced exactly by Berezin derivatives
-    against e^{-<psibar, A psi>}, and the scalar weight rho e^{-u}/(2 pi) is
-    applied.  Returns an element of the parameter algebra.
+    against e^{-<psibar, A psi>} and normalized by det A_VV
+    (`_berezin_coefficients`), and the coefficients are integrated against
+    rho e^{-u}/(2 pi).  Returns an element of the parameter algebra.
     """
-    algebra = psi_algebra(g, param_algebra)
-    psibar, psi = psi_vectors(g, algebra)
-    acc: dict = {}
-    for u, s, w in _horospherical_rows(g, n_u, n_t, u_lim, t_lim):
-        weight = fermion_weight(g, u[0], algebra)
-        # the reduction of the fermion weight alone is det A_VV = A_11
-        w = w / build_A(g, u[0])[0, 0]
-        for uk, sk, wk in zip(u, s, w):
-            val = f(uk, sk, psibar, psi, algebra)
-            if not isinstance(val, GrassmannElement):
-                val = algebra.scalar(val)
-            for m, cval in grassmann_reduce(g, weight * val).coeffs.items():
-                acc[m] = acc.get(m, 0.0) + wk * cval
-    return _restrict(GrassmannElement(algebra, acc), param_algebra)
+    coeffs = expect_quadrature_1v(
+        g, lambda u, s: _berezin_coefficients(g, f, u, s, param_algebra), n_u, n_t, u_lim, t_lim
+    )
+    return GrassmannElement(param_algebra, dict(enumerate(coeffs)))
 
 
 def cartesian_expect_quadrature_1v(
@@ -157,7 +135,8 @@ def cartesian_expect_quadrature_1v(
             reduced = berezin_pairs(radial * f_cart(x, y, xi, eta, base), [("xi_1", "eta_1")])
             for m, cval in reduced.coeffs.items():
                 acc[m] = acc.get(m, 0.0) + factor * cval
-    return _restrict(GrassmannElement(base, acc), param_algebra)
+    # xi_1 and eta_1 are the two lowest generators of `base` and are reduced
+    return GrassmannElement(param_algebra, {m >> 2: cval for m, cval in acc.items()})
 
 
 def zeta_integral_1v(f, n_u: int = 240, n_s: int = 240, u_lim: float = 14.0, s_lim: float = 14.0, s_center=None):

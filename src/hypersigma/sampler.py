@@ -4,19 +4,21 @@ The u-marginal (with the Gaussian s-sector integrated out analytically) is
 sampled by a random-walk Metropolis chain; s is then drawn exactly from its
 conditional Gaussian.  Estimates carry batch-means standard errors and are
 fully determined by (seed, config, graph).  Grassmann-valued observables are
-reduced exactly per sample by Berezin integration, so only (u, s) is
-stochastic.
+reduced exactly per sample by Berezin integration (`_berezin_coefficients`),
+so only (u, s) is stochastic: their expectation is `expect` of the real
+vector of parameter-algebra coefficients.  Tail-dominated observables of u
+alone go through Hessian-matched mixture importance sampling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import EstimationError, _avv_logdet, _edge_action, build_A
-from .grassmann import GeneratorSet, GrassmannElement, berezin_pairs
+from .grassmann import GeneratorSet, GrassmannElement, as_even, berezin_pairs
 from .graphs import Graph
 
 __all__ = [
@@ -74,11 +76,10 @@ def _log_target(g: Graph, u_inner: np.ndarray) -> np.ndarray:
     Obtained by integrating the Gaussian s-sector out of the model measure:
     (1/2) log det A_VV(u) - sum_edges W [cosh(u_i - u_j) - 1] - sum_V u_i.
     """
-    _, logdet = _avv_logdet(g, u_inner)
     u_full = np.concatenate([u_inner, np.zeros(u_inner.shape[:-1] + (1,))], axis=-1)
     i, j, w = g.edge_arrays
     edge_sum = (w * (np.cosh(u_full[..., i] - u_full[..., j]) - 1.0)).sum(axis=-1)
-    return 0.5 * logdet - edge_sum - u_inner.sum(axis=-1)
+    return 0.5 * _avv_logdet(g, u_inner) - edge_sum - u_inner.sum(axis=-1)
 
 
 def _log_target_derivatives(g: Graph, u_inner: np.ndarray):
@@ -223,18 +224,7 @@ def sample_s_given_u(g: Graph, u: np.ndarray, rng: np.random.Generator) -> np.nd
     return _draw_s(g, u[..., :-1], rng.standard_normal(u.shape[:-1] + (g.n_inner,)))
 
 
-def _sample_us_chains(g: Graph, cc: ChainConfig):
-    """(u, s) samples keeping chain structure: two arrays (c, m, n_total)."""
-    chains, rate = _run_chains(g, cc)
-    c, m, n = chains.shape
-    rng = np.random.default_rng(np.random.SeedSequence((cc.seed, 0x5)))
-    z = rng.standard_normal((c * m, n))
-    s_full = _draw_s(g, chains.reshape(-1, n), z).reshape(c, m, n + 1)
-    u_full = np.concatenate([chains, np.zeros((c, m, 1))], axis=-1)
-    return u_full, s_full, rate
-
-
-def _batch_means(values: np.ndarray, n_chains: int, min_batches: int = 32):
+def _batch_means(values: np.ndarray, min_batches: int = 32):
     """Mean and batch-means stderr for values of shape (c, m) (possibly complex)."""
     c, m = values.shape[:2]
     per_chain_batches = max(min_batches // c, 2)
@@ -258,27 +248,33 @@ def expect(g: Graph, observable, cc: ChainConfig) -> Estimate:
     from the same draws; then mean and stderr are arrays of length k and
     n_effective is the smallest over the columns.
     """
-    u, s, rate = _sample_us_chains(g, cc)
-    c, m, n = u.shape
-    vals = np.asarray(observable(u.reshape(-1, n), s.reshape(-1, n)))
+    chains, rate = _run_chains(g, cc)
+    c, m, n = chains.shape
+    u = chains.reshape(-1, n)
+    rng = np.random.default_rng(np.random.SeedSequence((cc.seed, 0x5)))
+    s = _draw_s(g, u, rng.standard_normal((c * m, n)))
+    vals = np.asarray(observable(np.concatenate([u, np.zeros((c * m, 1))], axis=1), s))
     if not np.all(np.isfinite(np.abs(vals))):
         raise EstimationError("observable produced NaN/Inf values")
     vals = vals.reshape((c, m) + vals.shape[1:])
     if vals.ndim == 2:
-        mean, stderr, n_eff = _batch_means(vals, c)
+        mean, stderr, n_eff = _batch_means(vals)
     else:
-        cols = [_batch_means(vals[:, :, k], c) for k in range(vals.shape[2])]
+        cols = [_batch_means(vals[:, :, k]) for k in range(vals.shape[2])]
         mean, stderr, n_effs = (np.array(x) for x in zip(*cols))
         n_eff = float(n_effs.min())
     return Estimate(mean=mean, stderr=stderr, n_effective=n_eff, seed=cc.seed, acceptance_rate=rate)
 
 
 def expect_importance(g: Graph, observable, cc: ChainConfig, centers=None) -> Estimate:
-    """Self-normalized importance-sampling mean of an observable of (u, s).
+    """Self-normalized importance-sampling mean of an observable of u alone.
 
-    Proposes u from an equal-weight Gaussian mixture over the given centers
-    (always including the origin) on the inner vertices, reweights by the
-    exact u-marginal density, and draws s from its conditional Gaussian.
+    `observable(u)` takes an (N, n_total) array and returns a vector of length
+    N; an observable of (u, s) enters through its conditional expectation
+    given u, which integrates the Gaussian s-sector out.  Proposes u from an
+    equal-weight Gaussian mixture over the given centers (always including
+    the origin) on the inner vertices and reweights by the exact u-marginal
+    density.
     Each component's covariance is PROPOSAL_SIGMA^2 times the inverse of the
     exact negative Hessian of the log density at its center, so the strong
     correlations of the marginal are matched.  The superexponential decay of
@@ -311,10 +307,7 @@ def expect_importance(g: Graph, observable, cc: ChainConfig, centers=None) -> Es
     lw = logp - logq
     w = np.exp(lw - lw.max())
 
-    s_full = _draw_s(g, ui, rng.standard_normal((cc.n_samples, n)))
-    u_full = np.concatenate([ui, np.zeros((cc.n_samples, 1))], axis=1)
-
-    vals = np.asarray(observable(u_full, s_full))
+    vals = np.asarray(observable(np.concatenate([ui, np.zeros((cc.n_samples, 1))], axis=1)))
     if not np.all(np.isfinite(np.abs(vals))):
         raise EstimationError("observable produced NaN/Inf values")
 
@@ -346,13 +339,8 @@ def expect_importance(g: Graph, observable, cc: ChainConfig, centers=None) -> Es
 def psi_algebra(g: Graph, param_algebra: GeneratorSet | None = None) -> GeneratorSet:
     """Algebra with one (psibar_i, psi_i) pair per inner vertex, optionally
     followed by the parameter generators."""
-    names = []
-    for vid in g.vertex_ids[:-1]:
-        names.extend([f"pb_{vid}", f"p_{vid}"])
-    alg = GeneratorSet(names)
-    if param_algebra is not None:
-        alg = alg.union(param_algebra)
-    return alg
+    alg = GeneratorSet([f"{p}_{vid}" for vid in g.vertex_ids[:-1] for p in ("pb", "p")])
+    return alg if param_algebra is None else alg.union(param_algebra)
 
 
 def psi_vectors(g: Graph, algebra: GeneratorSet):
@@ -394,74 +382,78 @@ def grassmann_reduce(g: Graph, x: GrassmannElement) -> GrassmannElement:
     return berezin_pairs(x, pairs)
 
 
+def _berezin_coefficients(g: Graph, f, u: np.ndarray, s: np.ndarray, param_algebra: GeneratorSet, soul_weights=None):
+    """Per-sample Berezin integral of a superfunction, as parameter-algebra
+    coefficients.
+
+    For fields u, s of shape (N, n_total), row k of the (N, 2^len(param_algebra))
+    complex result holds det A_VV(u_k)^{-1} int dpsi e^{-<psibar, A(u_k) psi>}
+    f(u_k, s_k, psibar, psi, algebra), column m the coefficient of the
+    parameter monomial with bitmask m.  `f` is evaluated at one field at a
+    time over the combined algebra (psi pairs first, then the parameter
+    generators).  The fermion weight is rebuilt only where u changes from the
+    previous row, as it does not at a chain rejection or along a quadrature
+    row.  With `soul_weights` (nilpotent even additions to the edge weights)
+    the weight uses them and the density ratio to the real-weight measure,
+    exp(-sum_edges soul_ij * action_ij), is folded into each row.
+    """
+    algebra = psi_algebra(g, param_algebra)
+    psibar, psi = psi_vectors(g, algebra)
+    logdet = _avv_logdet(g, u[:, :-1])
+    if soul_weights is not None:
+        soul_weights = [[soul_weights[i][j].embed(algebra) for j in range(g.n_total)] for i in range(g.n_total)]
+        souls = [
+            (e, soul_weights[i][j])
+            for e, (i, j) in enumerate(zip(*g.edge_arrays[:2]))
+            if not soul_weights[i][j].is_zero(0.0)
+        ]
+        action = _edge_action(g, u, s)
+    out = np.zeros((len(u), 1 << len(param_algebra)), dtype=complex)
+    changed = np.append(True, (u[1:] != u[:-1]).any(axis=1))
+    for k in range(len(u)):
+        if changed[k]:
+            base = fermion_weight(g, u[k], algebra, soul_weights)
+        weight = base
+        if soul_weights is not None:
+            expo = algebra.zero()
+            for e, soul in souls:
+                expo = expo - soul * action[k, e]
+            weight = weight * expo.fn("exp")
+        val = as_even(f(u[k], s[k], psibar, psi, algebra), algebra)
+        for mask, cval in grassmann_reduce(g, weight * val).coeffs.items():
+            out[k, mask >> (2 * g.n_inner)] = cval * math.exp(-logdet[k])
+    return out
+
+
 def super_expect(g: Graph, f, param_algebra: GeneratorSet, cc: ChainConfig, soul_weights=None) -> Estimate:
     """Grassmann-valued Monte-Carlo expectation.
 
     `f(u, s, psibar, psi, algebra)` returns the superfunction value at a single
     (u, s) as a GrassmannElement over the combined algebra (psi pairs first,
-    then the parameter generators).  Per sample the fermionic Gaussian weight
-    is attached, the psi sector is integrated out exactly by Berezin
-    derivatives, and the result is normalized by det A_VV(u); only the (u, s)
-    average is stochastic.  The returned mean/stderr are dicts keyed by
-    parameter-generator subsets.
+    then the parameter generators).  The psi sector is integrated out exactly
+    per sample (`_berezin_coefficients`), so the estimate is `expect` of the
+    vector of parameter-algebra coefficients; only the (u, s) average is
+    stochastic.  The returned mean/stderr are dicts keyed by tuples of
+    parameter-generator names, without the monomials whose mean is below
+    1e-14 with zero stderr.
 
     With `soul_weights` (nilpotent even additions to the edge weights) the
     sample stream still targets the real-weight measure and the density ratio
     is folded into the per-sample value exactly.
     """
-    algebra = psi_algebra(g, param_algebra)
-    u, s, rate = _sample_us_chains(g, cc)
-    c, m, n = u.shape
-    u, s = u.reshape(-1, n), s.reshape(-1, n)
-    _, logdet = _avv_logdet(g, u[:, :-1])
-
-    psibar, psi = psi_vectors(g, algebra)
-    lifted_souls = None
-    if soul_weights is not None:
-        lifted_souls = [[soul_weights[i][j].embed(algebra) for j in range(g.n_total)] for i in range(g.n_total)]
-        # density-ratio correction for the nilpotent part of the weights:
-        # exp(-sum_edges soul_ij * action_ij) per sample
-        souls = [
-            (e, lifted_souls[i][j])
-            for e, (i, j) in enumerate(zip(*g.edge_arrays[:2]))
-            if not lifted_souls[i][j].is_zero(0.0)
-        ]
-        action = _edge_action(g, u, s)
-
-    series: dict = {}
-    for k in range(c * m):
-        weight = fermion_weight(g, u[k], algebra, lifted_souls)
-        if lifted_souls is not None:
-            expo = algebra.zero()
-            for e, soul in souls:
-                expo = expo - soul * action[k, e]
-            weight = weight * expo.fn("exp")
-        val = f(u[k], s[k], psibar, psi, algebra)
-        if not isinstance(val, GrassmannElement):
-            val = algebra.scalar(val)
-        reduced = grassmann_reduce(g, weight * val) * math.exp(-logdet[k])
-        for mask, cval in reduced.coeffs.items():
-            if mask not in series:
-                series[mask] = np.zeros((c, m), dtype=complex)
-            series[mask][k // m, k % m] = cval
-
-    if not all(np.all(np.isfinite(vals)) for vals in series.values()):
-        raise EstimationError("observable produced NaN/Inf values")
+    est = expect(g, lambda u, s: _berezin_coefficients(g, f, u, s, param_algebra, soul_weights), cc)
     mean: dict = {}
     stderr: dict = {}
-    n_eff = float(c * m)
-    for mask, vals in series.items():
-        mu, se, ne = _batch_means(vals, c)
-        names = tuple(algebra.names[b] for b in range(len(algebra)) if mask >> b & 1)
+    for mask, (mu, se) in enumerate(zip(est.mean, est.stderr)):
         if abs(mu) < 1e-14 and se == 0.0:
             continue
+        names = tuple(param_algebra.names[b] for b in range(len(param_algebra)) if mask >> b & 1)
         mean[names] = complex(mu) if abs(complex(mu).imag) > 0 else float(complex(mu).real)
-        stderr[names] = se
-        n_eff = min(n_eff, ne)
+        stderr[names] = float(se)
     if () not in mean:
         mean[()] = 0.0
         stderr[()] = 0.0
-    return Estimate(mean=mean, stderr=stderr, n_effective=n_eff, seed=cc.seed, acceptance_rate=rate)
+    return replace(est, mean=mean, stderr=stderr)
 
 
 def gelman_rubin(chains: np.ndarray) -> float:

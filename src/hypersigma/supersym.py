@@ -158,7 +158,8 @@ def _derivative_martingale_observable(gk: Graph, j_ids, tilt_a, tilt_b):
 
     The Gaussian s-sector is integrated out analytically per u-sample
     (conditional mean -e^{-u}b, covariance A_VV^{-1}), which removes all
-    s-variance from the estimator; j_ids is a multiset of up to 3 vertex ids.
+    s-variance from the estimator, so the observable takes u alone (as
+    `expect_importance` requires); j_ids is a multiset of up to 3 vertex ids.
     """
     idx = [gk.index_of(v) for v in j_ids]
     if len(idx) > 3:
@@ -166,7 +167,7 @@ def _derivative_martingale_observable(gk: Graph, j_ids, tilt_a, tilt_b):
     a = np.asarray(tilt_a, dtype=float)
     b = np.asarray(tilt_b, dtype=float)
 
-    def obs(u, s):
+    def obs(u):
         beta = compute_beta(gk, u)
         # tilt times the Gaussian normalization: the b^2 beta terms cancel,
         # leaving exp(-<(a^2-1)_V, beta> - (1/2) sum_{i != j in V} W_ij b_i b_j)

@@ -7,7 +7,9 @@ import pytest
 
 from hypersigma import GeneratorSet, single_edge
 from hypersigma.core import LOG_UNDERFLOW, _log_rho
+from hypersigma import sampler
 from hypersigma.quadrature import (
+    _horospherical_rows,
     cartesian_expect_quadrature_1v,
     expect_quadrature_1v,
     super_expect_quadrature_1v,
@@ -74,6 +76,33 @@ def test_super_quadrature_body_matches_scalar_quadrature():
     ref = expect_quadrature_1v(g, f)
     val = super_expect_quadrature_1v(g, lambda u, s, psibar, psi, algebra: f(u, s), empty)
     assert val.body == pytest.approx(ref, rel=1e-8)
+
+
+def test_vector_observable_matches_columns():
+    """An (N, k) observable gives, per column, exactly the quadrature of that
+    column alone."""
+    g = single_edge()
+    cols = [
+        lambda u, s: np.exp(-(u[:, 0] ** 2) - 0.5 * s[:, 0] ** 2),
+        lambda u, s: np.cos(s[:, 0]) * np.exp(-np.abs(u[:, 0])),
+        lambda u, s: (u[:, 0] + s[:, 0]) * np.exp(-(u[:, 0] ** 2)),
+    ]
+    val = expect_quadrature_1v(g, lambda u, s: np.stack([f(u, s) for f in cols], axis=1))
+    assert val.shape == (3,)
+    for k, f in enumerate(cols):
+        assert val[k] == expect_quadrature_1v(g, f)
+
+
+def test_super_quadrature_builds_one_fermion_weight_per_row(monkeypatch):
+    """All nodes of a u-row share u, so each row builds the fermion weight once."""
+    g = single_edge()
+    calls = []
+    build = sampler.fermion_weight
+    monkeypatch.setattr(sampler, "fermion_weight", lambda *args: calls.append(args[1]) or build(*args))
+    grid = dict(n_u=12, n_t=8, u_lim=11.0, t_lim=9.0)
+    super_expect_quadrature_1v(g, lambda u, s, psibar, psi, algebra: algebra.one(), GeneratorSet([]), **grid)
+    rows = list(_horospherical_rows(g, **grid))
+    assert len(calls) == len(rows) < sum(len(w) for _, _, w in rows)
 
 
 def test_cartesian_normalization_is_one():

@@ -1,6 +1,8 @@
 """Monte-Carlo machinery: chains, conditional draws, importance sampling, and
 Grassmann-valued estimates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -128,15 +130,15 @@ def test_expect_vector_observable_matches_columns():
 
 
 def test_expect_importance_matches_expect():
-    """IS and MCMC agree on a bounded observable; IS resolves it with a large
-    effective sample size."""
+    """IS and MCMC agree on a bounded observable of u; IS resolves it with a
+    large effective sample size."""
     g = triangle()
 
-    def f(u, s):
+    def f(u):
         return np.exp(-np.abs(u[:, :-1]).sum(axis=1))
 
     cc = ChainConfig(n_samples=100_000, burn_in=2_000, seed=5)
-    e1 = expect(g, f, cc)
+    e1 = expect(g, lambda u, s: f(u), cc)
     e2 = expect_importance(g, f, cc)
     assert abs(e1.mean - e2.mean) < 4.0 * np.hypot(e1.stderr, e2.stderr)
     assert e2.n_effective > 10_000
@@ -145,7 +147,7 @@ def test_expect_importance_matches_expect():
 def test_expect_importance_reproducible():
     g = single_edge()
 
-    def f(u, s):
+    def f(u):
         return np.exp(u[:, 0])
 
     cc = ChainConfig(n_samples=20_000, seed=11)
@@ -199,6 +201,81 @@ def test_super_expect_of_one_is_exactly_one():
     if isinstance(stderr, dict):
         stderr = max(stderr.values())
     assert float(np.max(stderr)) < 1e-12
+
+
+def _odd_pair_superfunction(u, s, psibar, psi, algebra):
+    """Inhomogeneous superfunction on the triangle with parameters xi, eta,
+    so that every parameter monomial keeps a nonzero Berezin coefficient."""
+    xi, eta = algebra.gen("xi"), algebra.gen("eta")
+    return (
+        algebra.scalar(math.exp(-(u[0] ** 2)) + 1j * s[1])
+        + xi * (0.3 + u[1])
+        + eta * psibar[0] * psi[1] * (0.2 - s[0])
+        + xi * eta * psibar[0] * psi[0] * (0.7 * math.exp(u[0]))
+    )
+
+
+def _repeating_fields(g, rng):
+    """Six (u, s) rows; rows 0-1 and 3-5 repeat u with different s."""
+    u = np.zeros((6, g.n_total))
+    u[:, :-1] = rng.standard_normal((6, g.n_inner))[[0, 0, 1, 2, 2, 2]]
+    s = np.zeros((6, g.n_total))
+    s[:, :-1] = rng.standard_normal((6, g.n_inner))
+    return u, s
+
+
+@pytest.mark.parametrize("with_souls", [False, True])
+def test_berezin_coefficients_match_per_sample_reduction(with_souls):
+    """Each row equals the fermion weight times f reduced by Berezin
+    integration and divided by det A_VV, read monomial by monomial, also
+    where u repeats and with soul weights (whose density ratio to the
+    real-weight measure multiplies the weight)."""
+    g = triangle()
+    params = GeneratorSet(["xi", "eta"])
+    alg = psi_algebra(g, params)
+    psibar, psi = psi_vectors(g, alg)
+    u, s = _repeating_fields(g, np.random.default_rng(4))
+    souls = lifted = None
+    if with_souls:
+        souls = [[params.zero()] * g.n_total for _ in range(g.n_total)]
+        for i, j, _ in g.edges():
+            souls[i][j] = souls[j][i] = params.gen("xi") * params.gen("eta") * (0.1 * (i + 2 * j + 1))
+        lifted = [[x.embed(alg) for x in row] for row in souls]
+    out = sampler._berezin_coefficients(g, _odd_pair_superfunction, u, s, params, souls)
+    assert out.shape == (6, 4)
+    for k in range(6):
+        weight = fermion_weight(g, u[k], alg, lifted)
+        if with_souls:
+            expo = alg.zero()
+            for i, j, _ in g.edges():
+                action = np.cosh(u[k, i] - u[k, j]) - 1.0 + 0.5 * (s[k, i] - s[k, j]) ** 2 * math.exp(u[k, i] + u[k, j])
+                expo = expo - lifted[i][j] * action
+            weight = weight * expo.fn("exp")
+        ref = grassmann_reduce(g, weight * _odd_pair_superfunction(u[k], s[k], psibar, psi, alg))
+        det = np.linalg.det(build_A(g, u[k])[:-1, :-1])
+        for mask, names in enumerate([(), ("xi",), ("eta",), ("xi", "eta")]):
+            assert ref.coefficient(names) != 0.0
+            assert out[k, mask] == pytest.approx(ref.coefficient(names) / det, rel=1e-12, abs=0.0)
+
+
+def test_berezin_coefficients_build_one_weight_per_run_of_equal_u(monkeypatch):
+    """The fermion weight is built once per run of equal consecutive u: a
+    chain's rejections repeat u and do not rebuild it."""
+    g = triangle()
+    calls = []
+    build = sampler.fermion_weight
+    monkeypatch.setattr(sampler, "fermion_weight", lambda *args: calls.append(args[1]) or build(*args))
+    params = GeneratorSet(["xi", "eta"])
+    u, s = _repeating_fields(g, np.random.default_rng(4))
+    sampler._berezin_coefficients(g, _odd_pair_superfunction, u, s, params)
+    assert len(calls) == 3
+    cc = ChainConfig(n_samples=400, burn_in=100, n_chains=4, seed=2)
+    u = sample_u(g, cc)
+    runs = 1 + int(np.any(u[1:] != u[:-1], axis=1).sum())
+    assert runs < len(u)
+    calls.clear()
+    super_expect(g, _odd_pair_superfunction, params, cc)
+    assert len(calls) == runs
 
 
 def test_psi_vectors_pinned_entries_zero():
