@@ -173,7 +173,9 @@ def log_rho_density(g: Graph, cfg: FieldConfig, mode: str = "direct") -> float:
             vj = np.array([[np.exp(-u[j]), s[j]], [0.0, 1.0]])
             mi = vi @ vi.T * np.exp(u[i])
             mj = vj @ vj.T * np.exp(u[j])
-            acc += 0.5 * w * np.linalg.det(mi - mj)
+            # ad - bc: np.linalg.det's LU would divide by a pivot that a subnormal entry zeroes
+            d = mi - mj
+            acc += 0.5 * w * (d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
         return float(logdet + acc)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -227,7 +229,8 @@ def spinor_det_sides(vi, vj):
     aj, bj = vj
     mi = np.array([[ai, bi], [0.0, 1.0]])
     mj = np.array([[aj, bj], [0.0, 1.0]])
-    lhs = np.linalg.det(mi @ mi.T / ai - mj @ mj.T / aj)
+    d = mi @ mi.T / ai - mj @ mj.T / aj
+    lhs = d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0]  # ad - bc, as in log_rho_density
     eps = np.array([[0.0, -1.0], [1.0, 0.0]])
     cross = mi.T @ eps @ mj
     rhs = 2.0 - (cross**2).sum() / (ai * aj)

@@ -4,6 +4,10 @@ Multivectors with real or complex coefficients over a fixed ordered set of
 anticommuting generators, analytic functions of even elements (finite Taylor
 series in the nilpotent part), left Berezin derivatives, supermatrices with
 their superdeterminant, and the supergroup of [a, b, chi_bar, chi] matrices.
+
+A coefficient is a number or a numpy array over a batch of samples; the
+arithmetic, `fn`, `embed` and the Berezin derivatives act entrywise, so one
+call evaluates a superfunction at every sample of the batch.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "GeneratorSet",
@@ -31,6 +37,8 @@ EQ_TOL = 1e-12
 #: coefficients below this fraction of the largest one are pruned to keep the
 #: canonical form (relative, so elements of any overall magnitude survive)
 PRUNE_TOL = 1e-15
+#: coefficient types: a number, or an array of numbers over a batch
+_SCALARS = (int, float, complex, np.ndarray)
 
 
 class AlgebraMismatchError(ValueError):
@@ -88,6 +96,16 @@ class GeneratorSet:
         return GeneratorSet(self.names + tuple(extra))
 
 
+def _peak(c):
+    """Largest magnitude of a coefficient: a number, or an array over a batch."""
+    return abs(c) if isinstance(c, (int, float, complex)) else abs(c).max()
+
+
+def _any(mask) -> bool:
+    """A truth value, or whether any entry of a boolean array over a batch is true."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
 def _merge_sign(mask_a: int, mask_b: int) -> int:
     # Number of transpositions needed to merge two ascending monomials:
     # pairs (i in a, j in b) with i > j.
@@ -103,17 +121,24 @@ def _merge_sign(mask_a: int, mask_b: int) -> int:
 class GrassmannElement:
     """Multivector in canonical form: map bitmask-of-generators -> coefficient.
 
-    Immutable after construction; zero coefficients are pruned.
+    Immutable after construction; zero coefficients are pruned, an array one
+    only when all its entries are below the pruning tolerance.
     """
 
     __slots__ = ("algebra", "coeffs")
 
+    # make `ndarray * element` defer to __rmul__ instead of broadcasting
+    __array_ufunc__ = None
+
     def __init__(self, algebra: GeneratorSet, coeffs: dict):
         self.algebra = algebra
-        scale = max((abs(c) for c in coeffs.values()), default=0.0)
+        # builtin abs while no coefficient is an array keeps number arithmetic cheap
+        values = coeffs.values()
+        peak = _peak if np.ndarray in map(type, values) else abs
+        scale = max(map(peak, values), default=0.0)
         # NaN and infinite coefficients are kept, so estimators can reject them
         tol = PRUNE_TOL * scale if scale < math.inf else 0.0
-        self.coeffs = {m: c for m, c in coeffs.items() if not abs(c) <= tol}
+        self.coeffs = {m: c for m, c in coeffs.items() if not peak(c) <= tol}
 
     # -- structure ---------------------------------------------------------
 
@@ -132,7 +157,7 @@ class GrassmannElement:
         return all(m.bit_count() % 2 == 1 for m in self.coeffs)
 
     def is_zero(self, tol: float = EQ_TOL) -> bool:
-        return all(abs(c) <= tol for c in self.coeffs.values())
+        return all(_peak(c) <= tol for c in self.coeffs.values())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -141,7 +166,7 @@ class GrassmannElement:
             if other.algebra != self.algebra:
                 raise AlgebraMismatchError("operands over different generator sets")
             return other
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, _SCALARS):
             return GrassmannElement(self.algebra, {0: other})
         return NotImplemented
 
@@ -169,7 +194,7 @@ class GrassmannElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, _SCALARS):
             return GrassmannElement(self.algebra, {m: c * other for m, c in self.coeffs.items()})
         other = self._coerce(other)
         if other is NotImplemented:
@@ -184,12 +209,12 @@ class GrassmannElement:
         return GrassmannElement(self.algebra, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, _SCALARS):
             return self.__mul__(other)
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, _SCALARS):
             return self * (1.0 / other)
         if isinstance(other, GrassmannElement):
             return self * other.fn("inverse")
@@ -215,7 +240,7 @@ class GrassmannElement:
     def allclose(self, other: "GrassmannElement", tol: float = EQ_TOL) -> bool:
         other = self._coerce(other)
         masks = set(self.coeffs) | set(other.coeffs)
-        return all(abs(self.coeffs.get(m, 0.0) - other.coeffs.get(m, 0.0)) <= tol for m in masks)
+        return all(_peak(self.coeffs.get(m, 0.0) - other.coeffs.get(m, 0.0)) <= tol for m in masks)
 
     # -- analytic functions of even elements -------------------------------
 
@@ -224,47 +249,37 @@ class GrassmannElement:
         if not self.is_even():
             raise ParityError(f"{name} requires an even element")
         b = self.body
-        n = self.soul
+        rel = self.soul
         if name == "exp":
             coeff_fn = lambda k: 1.0 / math.factorial(k)  # noqa: E731
-            scale = _exp(b)
-            rel = n
+            scale = np.exp(b)
         elif name in ("log", "inverse", "sqrt"):
-            breal = b.real if isinstance(b, complex) else b
-            if isinstance(b, complex) and abs(b.imag) > PRUNE_TOL:
-                if name != "inverse":
-                    raise DomainError(f"{name} requires a real positive body")
-                if abs(b) <= PRUNE_TOL:
-                    raise DomainError("inverse requires nonzero body")
-            elif breal <= 0.0:
+            if name != "inverse" and _any(abs(b.imag) > PRUNE_TOL):
+                raise DomainError(f"{name} requires a real positive body")
+            # entrywise: a body off the real axis is nonzero, so inverse takes it
+            if _any((abs(b.imag) <= PRUNE_TOL) & (b.real <= 0.0)):
                 raise DomainError(f"{name} requires positive body, got {b!r}")
-            rel = n * (1.0 / b)
+            rel = rel * (1.0 / b)
             if name == "log":
-                result = self.algebra.scalar(_log(b))
-                term = rel
-                for k in range(1, len(self.algebra) + 1):
-                    if term.is_zero(0.0):
-                        break
-                    result = result + term * ((-1.0) ** (k + 1) / k)
-                    term = term * rel
-                return result
+                coeff_fn = lambda k: (-1.0) ** (k + 1) / k  # noqa: E731
             elif name == "inverse":
                 coeff_fn = lambda k: (-1.0) ** k  # noqa: E731
                 scale = 1.0 / b
             else:  # sqrt
-                coeff_fn = lambda k: _binom_half(k)  # noqa: E731
-                scale = math.sqrt(breal)
+                coeff_fn = _binom_half
+                scale = np.sqrt(b.real)
         else:
             raise ValueError(f"unknown function {name!r}")
 
-        result = self.algebra.one()
+        # log(b + n) = log b + log(1 + n/b); exp, inverse and sqrt are scale * (1 + series)
+        result = self.algebra.scalar(np.log(b)) if name == "log" else self.algebra.one()
         term = rel
         for k in range(1, len(self.algebra) + 1):
             if term.is_zero(0.0):
                 break
             result = result + term * coeff_fn(k)
             term = term * rel
-        return result * scale
+        return result if name == "log" else result * scale
 
     # -- misc --------------------------------------------------------------
 
@@ -316,18 +331,6 @@ def as_even(x, algebra: GeneratorSet) -> GrassmannElement:
     if isinstance(x, GrassmannElement):
         return x if x.algebra == algebra else x.embed(algebra)
     return algebra.scalar(x)
-
-
-def _exp(b):
-    return complex(math.e) ** b if isinstance(b, complex) else math.exp(b)
-
-
-def _log(b):
-    if isinstance(b, complex):
-        import cmath
-
-        return cmath.log(b)
-    return math.log(b)
 
 
 def _binom_half(k: int) -> float:
@@ -422,8 +425,6 @@ def even_matrix_inverse(m: Sequence[Sequence[GrassmannElement]]) -> list:
     Split M = M0 + N with real body part M0 and nilpotent soul part N, then
     M^-1 = sum_k (-M0^-1 N)^k M0^-1, which terminates.
     """
-    import numpy as np
-
     n = len(m)
     alg = m[0][0].algebra
     body = np.array([[m[i][j].body for j in range(n)] for i in range(n)], dtype=complex)
@@ -546,8 +547,7 @@ class GroupElement:
                 raise ParityError("a, b components must be even")
             if not (cb.is_odd() or cb.is_zero(0.0)) or not (c.is_odd() or c.is_zero(0.0)):
                 raise ParityError("chi components must be odd")
-            ab = a.body
-            if (ab.real if isinstance(ab, complex) else ab) <= 0.0:
+            if a.body.real <= 0.0:
                 raise DomainError("a component must have positive body")
         pa, pb, pcb, pc = self.quads[-1]
         if not (pa.allclose(self._lift(1.0)) and pb.is_zero() and pcb.is_zero() and pc.is_zero()):

@@ -2,9 +2,10 @@
 
 Tensor Gauss-Legendre panels over (u, s) in horospherical coordinates (with a
 u-dependent rescaling of s matching the local Gaussian width) and over (x, y)
-in cartesian coordinates.  Grassmann sectors are reduced symbolically at every
-quadrature node, so these integrals are exact up to quadrature error and serve
-as oracles for the Monte-Carlo estimators.
+in cartesian coordinates.  Grassmann sectors are reduced symbolically, once
+per batch of quadrature nodes (coefficients are arrays over the nodes), so
+these integrals are exact up to quadrature error and serve as oracles for
+the Monte-Carlo estimators.
 """
 
 from __future__ import annotations
@@ -90,8 +91,9 @@ def super_expect_quadrature_1v(
 ) -> GrassmannElement:
     """Superintegral of f over a single-inner-vertex graph.
 
-    f has the sampler evaluator signature (u, s, psibar, psi, algebra); at
-    every node the fermionic sector is reduced exactly by Berezin derivatives
+    f has the sampler evaluator signature (u, s, psibar, psi, algebra) and is
+    called once per u-row, with u and s of shape (n_total, k) over the row's
+    k nodes; the fermionic sector is reduced exactly by Berezin derivatives
     against e^{-<psibar, A psi>} and normalized by det A_VV
     (`_berezin_coefficients`), and the coefficients are integrated against
     rho e^{-u}/(2 pi).  Returns an element of the parameter algebra.
@@ -114,7 +116,8 @@ def cartesian_expect_quadrature_1v(
 
     Computes int dx dy/(2 pi) d_xi d_eta [ z^{-1} e^{S_cart} f_cart ], with
     z = sqrt(1 + x^2 + y^2 + 2 xi eta), in polar coordinates.  f_cart has
-    signature (x, y, xi, eta, algebra) with scalar x, y and odd xi, eta.
+    signature (x, y, xi, eta, algebra) and is called once, with x and y the
+    (n_r, n_phi) arrays of all nodes and odd xi, eta.
     """
     _check_single_inner(g)
     base = GeneratorSet(["xi_1", "eta_1"]).union(param_algebra)
@@ -123,20 +126,17 @@ def cartesian_expect_quadrature_1v(
     w_tot = _total_weight(g)
     r_nodes, r_w = _gauss_grid(0.0, r_lim, n_r)
     phi_nodes = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    phi_w = 2.0 * math.pi / n_phi
-    acc: dict = {}
-    for r, wr in zip(r_nodes, r_w):
-        # z and S_cart = -W_tot (z - 1) (single inner vertex) depend on r only
-        z = (base.scalar(1.0 + r * r) + xi * eta * 2.0).fn("sqrt")
-        radial = z.fn("inverse") * ((base.one() - z) * w_tot).fn("exp")
-        factor = wr * phi_w * r / (2.0 * math.pi)
-        for phi in phi_nodes:
-            x, y = r * math.cos(phi), r * math.sin(phi)
-            reduced = berezin_pairs(radial * f_cart(x, y, xi, eta, base), [("xi_1", "eta_1")])
-            for m, cval in reduced.coeffs.items():
-                acc[m] = acc.get(m, 0.0) + factor * cval
-    # xi_1 and eta_1 are the two lowest generators of `base` and are reduced
-    return GrassmannElement(param_algebra, {m >> 2: cval for m, cval in acc.items()})
+    r = r_nodes[:, None]
+    x, y = r * np.cos(phi_nodes), r * np.sin(phi_nodes)
+    # z and S_cart = -W_tot (z - 1) (single inner vertex) depend on r only
+    z = (base.scalar(1.0 + r * r) + xi * eta * 2.0).fn("sqrt")
+    radial = z.fn("inverse") * ((base.one() - z) * w_tot).fn("exp")
+    node_w = r_w[:, None] * (2.0 * math.pi / n_phi) * r / (2.0 * math.pi)
+    reduced = berezin_pairs(radial * f_cart(x, y, xi, eta, base), [("xi_1", "eta_1")])
+    # xi_1 and eta_1 are the two lowest generators of `base` and are reduced;
+    # a coefficient constant along phi still counts at every phi node
+    coeffs = {m >> 2: (node_w * np.broadcast_to(c, x.shape)).sum() for m, c in reduced.coeffs.items()}
+    return GrassmannElement(param_algebra, coeffs)
 
 
 def zeta_integral_1v(f, n_u: int = 240, n_s: int = 240, u_lim: float = 14.0, s_lim: float = 14.0, s_center=None):

@@ -4,10 +4,11 @@ The u-marginal (with the Gaussian s-sector integrated out analytically) is
 sampled by a random-walk Metropolis chain; s is then drawn exactly from its
 conditional Gaussian.  Estimates carry batch-means standard errors and are
 fully determined by (seed, config, graph).  Grassmann-valued observables are
-reduced exactly per sample by Berezin integration (`_berezin_coefficients`),
-so only (u, s) is stochastic: their expectation is `expect` of the real
-vector of parameter-algebra coefficients.  Tail-dominated observables of u
-alone go through Hessian-matched mixture importance sampling.
+reduced exactly per sample by Berezin integration, in one evaluation over the
+batch of samples (`_berezin_coefficients`), so only (u, s) is stochastic: their
+expectation is `expect` of the real vector of parameter-algebra coefficients.
+Tail-dominated observables of u alone go through Hessian-matched mixture
+importance sampling.
 """
 
 from __future__ import annotations
@@ -353,8 +354,9 @@ def psi_vectors(g: Graph, algebra: GeneratorSet):
 def fermion_weight(g: Graph, u: np.ndarray, algebra: GeneratorSet, soul_weights=None) -> GrassmannElement:
     """exp(-<psibar, A(u) psi>) over `algebra` (which must contain the psi pairs).
 
-    `soul_weights`, when given, is an (n x n) array of even nilpotent elements
-    added to the real edge weights.
+    `u` has shape (n_total,), or (n_total, N) for a weight whose coefficients
+    are arrays over a batch of N fields.  `soul_weights`, when given, is an
+    (n x n) array of even nilpotent elements added to the real edge weights.
     """
     psibar, psi = psi_vectors(g, algebra)
     eu = np.exp(np.asarray(u, dtype=float))
@@ -389,53 +391,42 @@ def _berezin_coefficients(g: Graph, f, u: np.ndarray, s: np.ndarray, param_algeb
     For fields u, s of shape (N, n_total), row k of the (N, 2^len(param_algebra))
     complex result holds det A_VV(u_k)^{-1} int dpsi e^{-<psibar, A(u_k) psi>}
     f(u_k, s_k, psibar, psi, algebra), column m the coefficient of the
-    parameter monomial with bitmask m.  `f` is evaluated at one field at a
-    time over the combined algebra (psi pairs first, then the parameter
-    generators).  The fermion weight is rebuilt only where u changes from the
-    previous row, as it does not at a chain rejection or along a quadrature
-    row.  With `soul_weights` (nilpotent even additions to the edge weights)
-    the weight uses them and the density ratio to the real-weight measure,
+    parameter monomial with bitmask m.  `f` is called once, on the whole batch:
+    it receives u and s transposed to (n_total, N), so u[i] is vertex i over the
+    batch, and returns an element over the combined algebra (psi pairs first,
+    then the parameter generators) whose coefficients are arrays over it.
+    With `soul_weights` (nilpotent even additions to the edge weights) the
+    weight uses them and the density ratio to the real-weight measure,
     exp(-sum_edges soul_ij * action_ij), is folded into each row.
     """
     algebra = psi_algebra(g, param_algebra)
     psibar, psi = psi_vectors(g, algebra)
-    logdet = _avv_logdet(g, u[:, :-1])
+    expo = algebra.zero()
     if soul_weights is not None:
         soul_weights = [[soul_weights[i][j].embed(algebra) for j in range(g.n_total)] for i in range(g.n_total)]
-        souls = [
-            (e, soul_weights[i][j])
-            for e, (i, j) in enumerate(zip(*g.edge_arrays[:2]))
-            if not soul_weights[i][j].is_zero(0.0)
-        ]
         action = _edge_action(g, u, s)
+        for e, (i, j) in enumerate(zip(*g.edge_arrays[:2])):
+            expo = expo - soul_weights[i][j] * action[:, e]
+    weight = fermion_weight(g, u.T, algebra, soul_weights) * expo.fn("exp")
+    val = as_even(f(u.T, s.T, psibar, psi, algebra), algebra)
+    scale = np.exp(-_avv_logdet(g, u[:, :-1]))
     out = np.zeros((len(u), 1 << len(param_algebra)), dtype=complex)
-    changed = np.append(True, (u[1:] != u[:-1]).any(axis=1))
-    for k in range(len(u)):
-        if changed[k]:
-            base = fermion_weight(g, u[k], algebra, soul_weights)
-        weight = base
-        if soul_weights is not None:
-            expo = algebra.zero()
-            for e, soul in souls:
-                expo = expo - soul * action[k, e]
-            weight = weight * expo.fn("exp")
-        val = as_even(f(u[k], s[k], psibar, psi, algebra), algebra)
-        for mask, cval in grassmann_reduce(g, weight * val).coeffs.items():
-            out[k, mask >> (2 * g.n_inner)] = cval * math.exp(-logdet[k])
+    for mask, cval in grassmann_reduce(g, weight * val).coeffs.items():
+        out[:, mask >> (2 * g.n_inner)] = cval * scale
     return out
 
 
 def super_expect(g: Graph, f, param_algebra: GeneratorSet, cc: ChainConfig, soul_weights=None) -> Estimate:
     """Grassmann-valued Monte-Carlo expectation.
 
-    `f(u, s, psibar, psi, algebra)` returns the superfunction value at a single
-    (u, s) as a GrassmannElement over the combined algebra (psi pairs first,
-    then the parameter generators).  The psi sector is integrated out exactly
-    per sample (`_berezin_coefficients`), so the estimate is `expect` of the
-    vector of parameter-algebra coefficients; only the (u, s) average is
-    stochastic.  The returned mean/stderr are dicts keyed by tuples of
-    parameter-generator names, without the monomials whose mean is below
-    1e-14 with zero stderr.
+    `f(u, s, psibar, psi, algebra)` returns the superfunction value over the
+    combined algebra (psi pairs first, then the parameter generators); u and s
+    have shape (n_total, N) and the coefficients of the value are arrays over
+    the N samples (`_berezin_coefficients`).  The psi sector is integrated out
+    exactly per sample, so the estimate is `expect` of the vector of
+    parameter-algebra coefficients; only the (u, s) average is stochastic.
+    The returned mean/stderr are dicts keyed by tuples of parameter-generator
+    names, without the monomials whose mean is below 1e-14 with zero stderr.
 
     With `soul_weights` (nilpotent even additions to the edge weights) the
     sample stream still targets the real-weight measure and the density ratio

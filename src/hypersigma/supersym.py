@@ -24,19 +24,20 @@ def compute_phi(g: Graph, u, psibar, psi, algebra: GeneratorSet, kind: str = "ph
     """Odd observables phi = e^{-u} A(u) psi on the inner vertices.
 
     Componentwise phi_i = sum_j W_ij e^{u_j} (psi_i - psi_j); kind="phibar"
-    substitutes the psibar generators instead.
+    substitutes the psibar generators instead.  u has shape (n_total,), or
+    (n_total, N) for coefficients that are arrays over a batch of N fields.
     """
     vec = psibar if kind == "phibar" else psi
     if kind not in ("phi", "phibar"):
         raise ValueError(f"unknown kind {kind!r}")
     u = np.asarray(u, dtype=float)
-    a = build_A(g, u)
+    a = np.moveaxis(build_A(g, u.T), (-2, -1), (0, 1))
     emu = np.exp(-u)
     out = []
     for i in range(g.n_inner):
         acc = algebra.zero()
         for j in range(g.n_total):
-            if a[i, j] != 0.0:
+            if np.any(a[i, j] != 0.0):
                 acc = acc + vec[j] * (emu[i] * a[i, j])
         out.append(acc)
     return out
@@ -77,21 +78,6 @@ def super_scale_pullback(v: GroupElement, f):
         u2, s2, pb2, p2 = [], [], [], []
         for i in range(n):
             a, b, cb, c = _quad_entries(v, i, algebra)
-            plain = (
-                not isinstance(u[i], GrassmannElement)
-                and not isinstance(s[i], GrassmannElement)
-                and a.soul.is_zero(0.0)
-                and b.soul.is_zero(0.0)
-                and cb.is_zero(0.0)
-                and c.is_zero(0.0)
-            )
-            if plain:
-                ab, bb = a.body, b.body
-                u2.append(u[i] + math.log(ab))
-                s2.append(s[i] - math.exp(-u[i]) * bb / ab)
-                pb2.append(psibar[i])
-                p2.append(psi[i])
-                continue
             ue = as_even(u[i], algebra)
             se = as_even(s[i], algebra)
             emu = (-ue).fn("exp")
@@ -137,9 +123,10 @@ def _pairing_exponent(g: Graph, u, s, psibar, psi, algebra, a, b, chibar, chi):
 
     The pairing is <(a^2+b^2+2*chibar*chi-1)_V, beta> + <b_V, theta>
     + <chibar_V, phi> + <phibar, chi_V> (the last product in reversed order).
+    u and s have shape (n_total,), or (n_total, N) over a batch of N fields.
     """
-    beta = compute_beta(g, u)
-    theta = compute_theta(g, u, s)
+    beta = compute_beta(g, np.transpose(u)).T
+    theta = compute_theta(g, np.transpose(u), np.transpose(s)).T
     phi = compute_phi(g, u, psibar, psi, algebra, "phi")
     phibar = compute_phi(g, u, psibar, psi, algebra, "phibar")
     acc = algebra.zero()

@@ -330,9 +330,8 @@ def _check_cartesian_horospherical(spec: CheckSpec) -> dict:
     empty = GeneratorSet([])
 
     def f_h(u, s, psibar, psi, algebra):
-        eu = (algebra.scalar(u[0]) if not hasattr(u[0], "algebra") else u[0]).fn("exp")
-        even = (eu * (alpha + 1j * alpha * s[0])).fn("exp")
-        return even * (algebra.one() + psibar[0] * psi[0] * (c_odd * math.exp(2.0 * u[0])))
+        even = algebra.scalar(np.exp(u[0]) * (alpha + 1j * alpha * s[0])).fn("exp")
+        return even * (algebra.one() + psibar[0] * psi[0] * (c_odd * np.exp(2.0 * u[0])))
 
     def f_cart(x, y, xi, eta, algebra):
         z = (algebra.scalar(1.0 + x * x + y * y) + xi * eta * 2.0).fn("sqrt")

@@ -117,6 +117,50 @@ def test_inverse_multiplies_to_one(seed):
     assert max((abs(c) for c in diff.coeffs.values()), default=0.0) < 1e-10
 
 
+def _batch(elements):
+    """One element whose coefficients are arrays over `elements`."""
+    algebra = elements[0].algebra
+    masks = set().union(*(e.coeffs for e in elements))
+    return GrassmannElement(algebra, {m: np.array([e.coeffs.get(m, 0.0) for e in elements]) for m in masks})
+
+
+def _entry(batched, k, size):
+    """Entry k of a batched element, whose coefficients may also be numbers."""
+    return GrassmannElement(batched.algebra, {m: np.broadcast_to(c, (size,))[k] for m, c in batched.coeffs.items()})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 4))
+def test_batched_operations_match_each_entry(seed, size):
+    """Arithmetic, embedding, Berezin pairs and even functions of an element
+    whose coefficients are arrays over a batch equal, entry by entry, the same
+    operations on the elements of the batch."""
+    algebra = GeneratorSet(["a", "b", "c", "d"])
+    target = GeneratorSet(["x", "c", "a", "y", "d", "b"])
+    rng = np.random.default_rng(seed)
+    xs = [random_element(algebra, rng) for _ in range(size)]
+    ys = [random_element(algebra, rng) for _ in range(size)]
+    evens = [random_element(algebra, rng, even_only=True) + algebra.scalar(1.5) for _ in range(size)]
+    w = rng.uniform(-1.0, 1.0, size)
+    x, y, e = _batch(xs), _batch(ys), _batch(evens)
+    pairs = [("a", "b"), ("c", "d")]
+    cases = [
+        (x * y, lambda k: xs[k] * ys[k]),
+        (x + y, lambda k: xs[k] + ys[k]),
+        (w * x, lambda k: xs[k] * w[k]),
+        (x * w, lambda k: xs[k] * w[k]),
+        (x.embed(target), lambda k: xs[k].embed(target)),
+        (berezin_pairs(x, pairs), lambda k: berezin_pairs(xs[k], pairs)),
+    ] + [(e.fn(name), lambda k, name=name: evens[k].fn(name)) for name in ("exp", "log", "sqrt", "inverse")]
+    for batched, single in cases:
+        for k in range(size):
+            assert _entry(batched, k, size).allclose(single(k), 1e-12)
+    bodies = np.full(size, 1.5)
+    bodies[rng.integers(size)] = -0.3
+    with pytest.raises(DomainError):
+        (algebra.scalar(bodies) + algebra.gen("a") * algebra.gen("b")).fn("log")
+
+
 def test_exp_requires_even(algebra):
     with pytest.raises(ParityError):
         (algebra.gen("a") + algebra.scalar(1.0)).fn("exp")

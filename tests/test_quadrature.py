@@ -74,7 +74,8 @@ def test_super_quadrature_body_matches_scalar_quadrature():
         return np.exp(-(u[..., 0] ** 2) - 0.5 * s[..., 0] ** 2)
 
     ref = expect_quadrature_1v(g, f)
-    val = super_expect_quadrature_1v(g, lambda u, s, psibar, psi, algebra: f(u, s), empty)
+    # a superfunction receives (n_total, k) fields: one column per node
+    val = super_expect_quadrature_1v(g, lambda u, s, psibar, psi, algebra: f(u.T, s.T), empty)
     assert val.body == pytest.approx(ref, rel=1e-8)
 
 

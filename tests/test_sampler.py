@@ -208,10 +208,10 @@ def _odd_pair_superfunction(u, s, psibar, psi, algebra):
     so that every parameter monomial keeps a nonzero Berezin coefficient."""
     xi, eta = algebra.gen("xi"), algebra.gen("eta")
     return (
-        algebra.scalar(math.exp(-(u[0] ** 2)) + 1j * s[1])
+        algebra.scalar(np.exp(-(u[0] ** 2)) + 1j * s[1])
         + xi * (0.3 + u[1])
         + eta * psibar[0] * psi[1] * (0.2 - s[0])
-        + xi * eta * psibar[0] * psi[0] * (0.7 * math.exp(u[0]))
+        + xi * eta * psibar[0] * psi[0] * (0.7 * np.exp(u[0]))
     )
 
 
@@ -258,24 +258,17 @@ def test_berezin_coefficients_match_per_sample_reduction(with_souls):
             assert out[k, mask] == pytest.approx(ref.coefficient(names) / det, rel=1e-12, abs=0.0)
 
 
-def test_berezin_coefficients_build_one_weight_per_run_of_equal_u(monkeypatch):
-    """The fermion weight is built once per run of equal consecutive u: a
-    chain's rejections repeat u and do not rebuild it."""
+def test_super_expect_builds_one_fermion_weight(monkeypatch):
+    """The fermion weight is built once per estimate, as one element whose
+    coefficients are arrays over all samples of the chain."""
     g = triangle()
     calls = []
     build = sampler.fermion_weight
     monkeypatch.setattr(sampler, "fermion_weight", lambda *args: calls.append(args[1]) or build(*args))
-    params = GeneratorSet(["xi", "eta"])
-    u, s = _repeating_fields(g, np.random.default_rng(4))
-    sampler._berezin_coefficients(g, _odd_pair_superfunction, u, s, params)
-    assert len(calls) == 3
     cc = ChainConfig(n_samples=400, burn_in=100, n_chains=4, seed=2)
-    u = sample_u(g, cc)
-    runs = 1 + int(np.any(u[1:] != u[:-1], axis=1).sum())
-    assert runs < len(u)
-    calls.clear()
-    super_expect(g, _odd_pair_superfunction, params, cc)
-    assert len(calls) == runs
+    super_expect(g, _odd_pair_superfunction, GeneratorSet(["xi", "eta"]), cc)
+    assert len(calls) == 1
+    assert calls[0].shape == (g.n_total, cc.n_samples)
 
 
 def test_psi_vectors_pinned_entries_zero():
