@@ -2,7 +2,6 @@
 scaling symmetries, and statistical verification checks."""
 
 from .core import (
-    CartesianPoint,
     EstimationError,
     FieldConfig,
     InversionError,
@@ -12,10 +11,8 @@ from .core import (
     h_beta,
     log_rho_density,
     rho_density,
-    s_cart,
     s_from_beta_theta,
     spinor_det_sides,
-    to_cartesian,
     u_from_beta,
 )
 from .grassmann import (
@@ -60,6 +57,7 @@ from .scaling import (
     rescale_weights,
     scale_fields,
     theta_conditional_covariance,
+    tilt,
 )
 from .supersym import bold_rho, compute_phi, super_jacobian, super_scale_pullback
 from .verify import CheckSpec, Report, UnknownCheckError, default_specs, list_check_ids, run_check, run_suite

@@ -2,8 +2,7 @@
 
 Coupling matrix A(u), the local observables beta and theta, the conjugated
 matrix H_beta, three equivalent forms of the density rho, the inversion
-beta -> u by one solve with H_beta (H_beta e^{u_V} = eta, eta_i = W_{i delta}),
-and the cartesian coordinate change (including the odd sector).
+beta -> u by one solve with H_beta (H_beta e^{u_V} = eta, eta_i = W_{i delta}).
 """
 
 from __future__ import annotations
@@ -12,12 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grassmann import GeneratorSet, GrassmannElement
 from .graphs import Graph
 
 __all__ = [
     "FieldConfig",
-    "CartesianPoint",
     "build_A",
     "compute_beta",
     "compute_theta",
@@ -27,8 +24,6 @@ __all__ = [
     "u_from_beta",
     "s_from_beta_theta",
     "spinor_det_sides",
-    "to_cartesian",
-    "s_cart",
     "InversionError",
     "EstimationError",
 ]
@@ -235,73 +230,3 @@ def spinor_det_sides(vi, vj):
     cross = mi.T @ eps @ mj
     rhs = 2.0 - (cross**2).sum() / (ai * aj)
     return float(lhs), float(rhs)
-
-
-@dataclass(frozen=True)
-class CartesianPoint:
-    """Cartesian coordinates (x, y, z, xi, eta).
-
-    y is a real vector; xi/eta are odd elements; x and z are even elements
-    (x acquires a nilpotent part from the odd sector) obeying the constraint
-    z_i^2 = 1 + x_i^2 + y_i^2 + 2 xi_i eta_i, with z = 1, x = y = 0 at the
-    pinned vertex.
-    """
-
-    x: tuple  # even GrassmannElements
-    y: np.ndarray
-    z: tuple  # even GrassmannElements
-    xi: tuple  # odd GrassmannElements
-    eta: tuple
-
-
-def to_cartesian(cfg: FieldConfig, psibar=None, psi=None, algebra: GeneratorSet | None = None) -> CartesianPoint:
-    """Map horospherical coordinates (and odd partners) to cartesian ones.
-
-    psibar/psi are sequences of odd GrassmannElements per vertex (pinned entry
-    zero); omitted they default to 0 over a trivial algebra.
-    """
-    u, s = cfg.u, cfg.s
-    n = len(u)
-    if algebra is None:
-        algebra = GeneratorSet([])
-    zero = algebra.zero()
-    if psibar is None:
-        psibar = [zero] * n
-    if psi is None:
-        psi = [zero] * n
-    eu = np.exp(u)
-    y = s * eu
-    x = []
-    z = []
-    xi = []
-    eta = []
-    for i in range(n):
-        pp = psibar[i] * psi[i]
-        x_i = algebra.scalar(np.sinh(u[i]) - 0.5 * s[i] ** 2 * eu[i]) - pp * eu[i]
-        z_i = algebra.scalar(np.cosh(u[i]) + 0.5 * s[i] ** 2 * eu[i]) + pp * eu[i]
-        x.append(x_i)
-        z.append(z_i)
-        xi.append(psibar[i] * eu[i])
-        eta.append(psi[i] * eu[i])
-    return CartesianPoint(x=tuple(x), y=y, z=tuple(z), xi=tuple(xi), eta=tuple(eta))
-
-
-def s_cart(g: Graph, p: CartesianPoint) -> GrassmannElement:
-    """Edge action in cartesian coordinates, as an even element.
-
-    With vanishing odd part its body equals
-    -sum_edges W [cosh(u_i-u_j) - 1 + (1/2)(s_i-s_j)^2 e^{u_i+u_j}].
-    """
-    algebra = p.z[0].algebra
-    y = p.y
-    total = algebra.zero()
-    for i, j, w in g.edges():
-        term = (
-            algebra.scalar(-1.0 - y[i] * y[j])
-            - p.x[i] * p.x[j]
-            + p.z[i] * p.z[j]
-            - p.xi[i] * p.eta[j]
-            + p.eta[i] * p.xi[j]
-        )
-        total = total - term * w
-    return total

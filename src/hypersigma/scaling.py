@@ -17,6 +17,7 @@ __all__ = [
     "scale_fields",
     "rescale_weights",
     "laplace_closed_form",
+    "tilt",
     "radon_nikodym",
     "theta_conditional_covariance",
 ]
@@ -118,16 +119,17 @@ def laplace_closed_form(g: Graph, p, chibar=None, chi=None, algebra: GeneratorSe
     return out
 
 
-def radon_nikodym(g: Graph, p: ScaleParams, cfg: FieldConfig) -> float:
-    """Density of the pushed-forward rescaled measure against the original one.
+def tilt(g: Graph, p: ScaleParams, u, s):
+    """The exponential tilt e^{-<(a^2+b^2-1)_V, beta> - <b_V, theta>} at fields
+    (u, s) of shape (..., n_total); its expectation is laplace_closed_form(g, p)."""
+    c = p.a[:-1] ** 2 + p.b[:-1] ** 2 - 1.0
+    return np.exp(-compute_beta(g, u) @ c - compute_theta(g, u, s) @ p.b[:-1])
 
-    Equals L(a, b)^{-1} exp(-<(a^2 + b^2 - 1)_V, beta(u)> - <b_V, theta(u, s)>).
-    """
-    beta = compute_beta(g, cfg.u)
-    theta = compute_theta(g, cfg.u, cfg.s)
-    lap = laplace_closed_form(g, p)
-    c = p.a**2 + p.b**2 - 1.0
-    return float(math.exp(-c[:-1] @ beta - p.b[:-1] @ theta) / lap)
+
+def radon_nikodym(g: Graph, p: ScaleParams, cfg: FieldConfig) -> float:
+    """Density of the pushed-forward rescaled measure against the original
+    one: the tilt over its expectation, L(a, b)^{-1} tilt(g, p, u, s)."""
+    return float(tilt(g, p, cfg.u, cfg.s) / laplace_closed_form(g, p))
 
 
 def theta_conditional_covariance(g: Graph, u: np.ndarray) -> np.ndarray:

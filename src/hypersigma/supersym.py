@@ -1,7 +1,7 @@
 """Full superspace sector: the superdensity, the odd observables phi and
 phibar, the super scaling transform and its Jacobian, the pairing exponent
 -<pi, varpi> of the Grassmann-Laplace transform, and the vectorized
-observables of the martingale checks.
+observable of the derivative-martingale checks.
 
 The checks that estimate these objects and the report schema live in `verify`.
 """
@@ -191,20 +191,5 @@ def _derivative_martingale_observable(gk: Graph, j_ids, tilt_a, tilt_b):
             )
             poly = 1.0 + 1j * (m[:, p] + m[:, q] + m[:, r]) - pair - 1j * triple
         return np.exp(u[:, idx].sum(axis=1)) * poly * weight
-
-    return obs
-
-
-def _generating_observable(gk: Graph, alpha_k: np.ndarray, tilt_a, tilt_b):
-    """Vectorized observable e^{<alpha, e^u(1+is)>} times the exponential tilt."""
-    a = np.asarray(tilt_a, dtype=float)
-    b = np.asarray(tilt_b, dtype=float)
-
-    def obs(u, s):
-        beta = compute_beta(gk, u)
-        theta = compute_theta(gk, u, s)
-        tilt = np.exp(-(a[:-1] ** 2 + b[:-1] ** 2 - 1.0) @ beta.T - b[:-1] @ theta.T)
-        m = np.exp((np.exp(u) * (1.0 + 1j * s)) @ alpha_k)
-        return m * tilt
 
     return obs

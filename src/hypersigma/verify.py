@@ -14,6 +14,7 @@ import fnmatch
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -46,10 +47,9 @@ from .sampler import (
     sample_s_given_u,
     super_expect,
 )
-from .scaling import ScaleParams, laplace_closed_form, rescale_weights, theta_conditional_covariance
+from .scaling import ScaleParams, laplace_closed_form, rescale_weights, theta_conditional_covariance, tilt
 from .supersym import (
     _derivative_martingale_observable,
-    _generating_observable,
     _pairing_exponent,
     bold_rho,
     super_jacobian,
@@ -157,19 +157,45 @@ def _report(spec: CheckSpec, rows, extra=None, exact: bool = True) -> dict:
     return {"check": spec.id, "verdict": verdict, "seed": spec.chain.seed, "coefficients": rows, **(extra or {})}
 
 
-def _ref_coefficient(ref, subset):
-    if isinstance(ref, GrassmannElement):
-        return ref.coefficient(subset)
-    return ref if subset == () else 0.0
+def _coefficients(x) -> dict:
+    """{subset: (mean, stderr)} of an estimate, {subset: value} of a closed
+    form; a number is the coefficient of the empty subset."""
+    if isinstance(x, Estimate):
+        mean, stderr = (x.mean, x.stderr) if isinstance(x.mean, dict) else ({(): x.mean}, {(): x.stderr})
+        return {k: (m, stderr[k]) for k, m in mean.items()}
+    return dict(x.subsets()) if isinstance(x, GrassmannElement) else {(): x}
+
+
+def _ordered(subsets) -> list:
+    return sorted(subsets, key=lambda t: (len(t), t))
 
 
 def _rows_vs_reference(est: Estimate, ref) -> list:
     """One row per coefficient of the estimate or of the reference element."""
-    subsets = set(est.mean) | ({names for names, _ in ref.subsets()} if isinstance(ref, GrassmannElement) else {()})
-    return [
-        _row(subset, est.mean.get(subset, 0.0), est.stderr.get(subset, 0.0), _ref_coefficient(ref, subset))
-        for subset in sorted(subsets, key=lambda t: (len(t), t))
-    ]
+    c, r = _coefficients(est), _coefficients(ref)
+    return [_row(subset, *c.get(subset, (0.0, 0.0)), r.get(subset, 0.0)) for subset in _ordered(c | r)]
+
+
+def _level_rows(spec: CheckSpec, n: int, estimate, label: tuple = (), seed_shift: int = 0):
+    """Rows of the same identity at the wired levels n and n + 1.
+
+    `estimate(level, chain)` returns (Estimate, closed form); the two levels run
+    at seeds seed + seed_shift and one more.  Each coefficient gets a row per
+    level against that level's closed form, tagged level_k, and a cross_level
+    row between the two estimates.  Returns the rows and the largest difference
+    between the two closed forms.
+    """
+    (e0, r0), (e1, r1) = (
+        map(_coefficients, estimate(k, replace(spec.chain, seed=spec.chain.seed + seed_shift + j)))
+        for j, k in enumerate((n, n + 1))
+    )
+    rows = []
+    for subset in _ordered(e0 | e1):
+        (m0, s0), (m1, s1) = e0.get(subset, (0.0, 0.0)), e1.get(subset, (0.0, 0.0))
+        rows.append(_row(label + subset + (f"level_{n}",), m0, s0, r0.get(subset, 0.0)))
+        rows.append(_row(label + subset + (f"level_{n + 1}",), m1, s1, r1.get(subset, 0.0)))
+        rows.append(_row(label + subset + ("cross_level",), m0, math.hypot(s0, s1), m1))
+    return rows, max(abs(r0.get(s, 0.0) - r1.get(s, 0.0)) for s in r0 | r1)
 
 
 def _random_graph(rng: np.random.Generator, max_inner: int = 4) -> Graph:
@@ -366,18 +392,6 @@ def _check_theta_conditional(spec: CheckSpec) -> dict:
 # -- statistical checks built from closed forms ------------------------------
 
 
-def _tilt_observable(g: Graph, a: np.ndarray, b: np.ndarray):
-    """e^{-<(a^2+b^2-1)_V, beta> - <b_V, theta>} at (u, s) of shape (..., n_total)."""
-
-    c = a[:-1] ** 2 + b[:-1] ** 2 - 1.0
-    b_inner = b[:-1]
-
-    def obs(u, s):
-        return np.exp(-compute_beta(g, u) @ c - compute_theta(g, u, s) @ b_inner)
-
-    return obs
-
-
 def _spec_scale_params(spec: CheckSpec, g: Graph) -> ScaleParams:
     a = np.ones(g.n_total)
     b = np.zeros(g.n_total)
@@ -386,15 +400,21 @@ def _spec_scale_params(spec: CheckSpec, g: Graph) -> ScaleParams:
     return ScaleParams(a, b)
 
 
+def _quadrature_rows(spec: CheckSpec, g: Graph, p: ScaleParams, name: str) -> list:
+    """On one inner vertex, the tilt's quadrature against its closed form."""
+    if g.n_inner != 1:
+        return []
+    ref = laplace_closed_form(g, p)
+    quad = expect_quadrature_1v(g, partial(tilt, g, p))
+    return [_det_row(name, abs(quad - ref) / abs(ref), spec.tolerance)]
+
+
 def _check_laplace_real(spec: CheckSpec) -> dict:
     g = spec.graph or single_edge()
     p = _spec_scale_params(spec, g)
     ref = laplace_closed_form(g, p)
-    est = expect(g, _tilt_observable(g, p.a, p.b), spec.chain)
-    rows = [_row(("mc",), est.mean, est.stderr, ref)]
-    if g.n_inner == 1:
-        quad = expect_quadrature_1v(g, _tilt_observable(g, p.a, p.b))
-        rows.append(_det_row("quadrature_residual", abs(quad - ref) / abs(ref), spec.tolerance))
+    est = expect(g, partial(tilt, g, p), spec.chain)
+    rows = [_row(("mc",), est.mean, est.stderr, ref)] + _quadrature_rows(spec, g, p, "quadrature_residual")
     return _report(spec, rows, {"stderr_max": float(est.stderr)})
 
 
@@ -407,7 +427,7 @@ def _check_radon_nikodym(spec: CheckSpec) -> dict:
     g2 = rescale_weights(p, g)
     # the normals of one _random_fields call per point (u, then s), pinned 0 appended
     u, s = np.pad(0.8 * rng.standard_normal((n_points, 2, g.n_inner)), ((0, 0), (0, 0), (0, 1))).transpose(1, 0, 2)
-    lhs = _tilt_observable(g, p.a, p.b)(u, s) / lap
+    lhs = tilt(g, p, u, s) / lap
     # the rescaled density at the inversely scaled fields over the original one
     rhs = np.exp(_log_rho(g2, u - np.log(p.a), s + np.exp(-u) * p.b) - _log_rho(g, u, s)) * np.prod(p.a[:-1])
     worst = float((np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)).max())
@@ -421,10 +441,8 @@ def _check_radon_nikodym(spec: CheckSpec) -> dict:
         def bump(u, s, mu_u=mu_u, mu_s=mu_s):
             return np.exp(-((u[:, :-1] - mu_u) ** 2).sum(axis=1) - 0.5 * ((s[:, :-1] - mu_s) ** 2).sum(axis=1))
 
-        tilt = _tilt_observable(g, p.a, p.b)
-
-        def lhs_obs(u, s, bump=bump, tilt=tilt):
-            return bump(u, s) * tilt(u, s)
+        def lhs_obs(u, s, bump=bump):
+            return bump(u, s) * tilt(g, p, u, s)
 
         def rhs_obs(u, s, bump=bump):
             u2 = u + np.log(p.a)
@@ -440,6 +458,36 @@ def _check_radon_nikodym(spec: CheckSpec) -> dict:
     return _report(spec, rows)
 
 
+def _martingale_terms(g: Graph, alpha, tau: dict, quads: dict, algebra: GeneratorSet):
+    """The martingale identity's superfunction on the wired level g,
+    e^{-<pi, varpi>} e^{<alpha, e^u(1+is)> + <tau, e^u(psibar+i psi)>}, and its
+    expectation L(a, b, chibar, chi) e^{<alpha, a-ib>} e^{-<tau, chibar+i chi>}.
+
+    `alpha` holds a number per vertex.  `quads` maps inner vertex ids to
+    [a, b, chibar, chi] (the identity elsewhere) and `tau` to odd sources (zero
+    elsewhere); the pinned odd fields vanish, so nothing lands on the boundary.
+    """
+    inner = g.vertex_ids[:-1]
+    identity = (1.0, 0.0, algebra.zero(), algebra.zero())
+    a, b, cb, c = zip(*[quads.get(v, identity) for v in inner], identity)
+    a, b = [as_even(x, algebra) for x in a], [as_even(x, algebra) for x in b]
+    tau = {v: t for v, t in tau.items() if v in inner}
+
+    def f(u, s, psibar, psi, alg):
+        # at the identity every term of the pairing vanishes
+        acc = _pairing_exponent(g, u, s, psibar, psi, alg, a, b, cb, c) if quads else alg.zero()
+        for i, vid in enumerate(g.vertex_ids):
+            eu = as_even(u[i], alg).fn("exp")
+            acc = acc + (eu + eu * as_even(s[i], alg) * 1j) * alpha[i]
+            if vid in tau:
+                acc = acc + tau[vid].embed(alg) * (eu * (psibar[i] + psi[i] * 1j))
+        return acc.fn("exp")
+
+    even = sum(((a[i] - b[i] * 1j) * alpha[i] for i in range(g.n_total)), algebra.zero())
+    odd = sum((-tau[v] * (cb[i] + c[i] * 1j) for i, v in enumerate(inner) if v in tau), algebra.zero())
+    return f, laplace_closed_form(g, (a, b), cb, c, algebra) * even.fn("exp") * odd.fn("exp")
+
+
 def _check_laplace_grassmann(spec: CheckSpec) -> dict:
     """MC Grassmann-Laplace transform against its closed form, coefficient by
     coefficient; on one inner vertex also its body against quadrature."""
@@ -448,16 +496,10 @@ def _check_laplace_grassmann(spec: CheckSpec) -> dict:
     algebra = GeneratorSet(["cb_1", "c_1"])
     chibar = [algebra.gen("cb_1") * spec.params.get("cb_coeff", 0.8)] + [algebra.zero()] * (g.n_total - 1)
     chi = [algebra.gen("c_1") * spec.params.get("c_coeff", 0.6)] + [algebra.zero()] * (g.n_total - 1)
-
-    def f(u, s, psibar, psi, alg):
-        return _pairing_exponent(g, u, s, psibar, psi, alg, p.a, p.b, chibar, chi).fn("exp")
-
+    quads = dict(zip(g.vertex_ids, zip(p.a, p.b, chibar, chi)))
+    f, ref = _martingale_terms(g, np.zeros(g.n_total), {}, quads, algebra)
     est = super_expect(g, f, algebra, spec.chain)
-    rows = _rows_vs_reference(est, laplace_closed_form(g, p, chibar, chi, algebra))
-    if g.n_inner == 1:
-        ref = laplace_closed_form(g, p)
-        quad = expect_quadrature_1v(g, _tilt_observable(g, p.a, p.b))
-        rows.append(_det_row("body_quadrature_residual", abs(quad - ref) / abs(ref), spec.tolerance))
+    rows = _rows_vs_reference(est, ref) + _quadrature_rows(spec, g, p, "body_quadrature_residual")
     return _report(spec, rows)
 
 
@@ -473,26 +515,17 @@ def _check_ward(spec: CheckSpec) -> dict:
         raise ValueError("alpha must be nonpositive")
     tau_coeffs = spec.params.get("tau", {"1": 0.8, "2": 0.6})
     algebra = GeneratorSet([f"tau_{vid}" for vid in tau_coeffs])
-    tau = [algebra.gen(f"tau_{vid}") * tau_coeffs[vid] if vid in tau_coeffs else algebra.zero() for vid in g.vertex_ids]
-
-    def f(u, s, psibar, psi, alg):
-        acc = alg.zero()
-        for i in range(g.n_total):
-            eu = as_even(u[i], alg).fn("exp")
-            acc = acc + (eu + eu * as_even(s[i], alg) * 1j) * alpha[i]
-            if not tau[i].is_zero(0.0):
-                acc = acc + tau[i].embed(alg) * (eu * (psibar[i] + psi[i] * 1j))
-        return acc.fn("exp")
-
+    tau = {vid: algebra.gen(f"tau_{vid}") * coeff for vid, coeff in tau_coeffs.items()}
+    f, ref = _martingale_terms(g, alpha, tau, {}, algebra)
     est = super_expect(g, f, algebra, spec.chain)
-    rows = _rows_vs_reference(est, algebra.scalar(math.exp(alpha.sum())))
+    rows = _rows_vs_reference(est, ref)
     # tau-bearing coefficients that cancel exactly per sample are pruned from
     # the estimate; report them as explicit zero rows
     seen = {tuple(r["subset"]) for r in rows}
     for mask in range(1, 1 << len(algebra)):
         names = tuple(algebra.names[k] for k in range(len(algebra)) if mask >> k & 1)
         if names not in seen:
-            rows.append(_row(names, est.mean.get(names, 0.0), est.stderr.get(names, 0.0), 0.0))
+            rows.append(_row(names, 0.0, 0.0, 0.0))
     return _report(spec, rows)
 
 
@@ -549,8 +582,8 @@ def _check_image_measure_super(spec: CheckSpec) -> dict:
         return acc.fn("exp")
 
     def lhs_f(u, s, psibar, psi, alg):
-        tilt = _pairing_exponent(g, u, s, psibar, psi, alg, a, b, chibar, chi).fn("exp")
-        return tilt * as_even(f(u, s, psibar, psi, alg), alg)
+        weight = _pairing_exponent(g, u, s, psibar, psi, alg, a, b, chibar, chi).fn("exp")
+        return weight * as_even(f(u, s, psibar, psi, alg), alg)
 
     lhs = super_expect(g, lhs_f, algebra, spec.chain)
     a_body = np.array([complex(x.body).real for x in a])
@@ -560,7 +593,7 @@ def _check_image_measure_super(spec: CheckSpec) -> dict:
     rhs = _scaled_estimate(rhs_raw, laplace_closed_form(g, (a, b), chibar, chi, algebra), algebra)
 
     rows = []
-    for subset in sorted(set(lhs.mean) | set(rhs.mean), key=lambda t: (len(t), t)):
+    for subset in _ordered(set(lhs.mean) | set(rhs.mean)):
         se = math.hypot(lhs.stderr.get(subset, 0.0), rhs.stderr.get(subset, 0.0))
         rows.append(_row(subset, lhs.mean.get(subset, 0.0), se, rhs.mean.get(subset, 0.0)))
     return _report(spec, rows)
@@ -634,93 +667,44 @@ def _check_martingale_generating(spec: CheckSpec) -> dict:
     tower = spec.tower or line_tower()
     n = spec.params.get("level", 1)
     alpha = spec.params.get("alpha", {"1": -0.7, "3": -0.4})
-    tilt = spec.params.get("tilt", {"1": (1.2, 0.3), "2": (0.9, -0.2)})
-    rows = []
-    ests = []
-    for k, seed_shift in ((n, 0), (n + 1, 1)):
+    tilts = spec.params.get("tilt", {"1": (1.2, 0.3), "2": (0.9, -0.2)})
+
+    def estimate(k, chain):
         gk = wired_subgraph(tower, k)
         alpha_k = extend_alpha(tower, alpha, k)
-        a, b = _tilt_arrays(gk, tilt)
-        est = expect(gk, _generating_observable(gk, alpha_k, a, b), replace(spec.chain, seed=spec.chain.seed + seed_shift))
-        ref = laplace_closed_form(gk, ScaleParams(a, b)) * np.exp(alpha_k @ (a - 1j * b))
-        ests.append(est)
-        rows.append(_row((f"level_{k}",), est.mean, est.stderr, ref))
-    e0, e1 = ests
-    rows.append(_row(("cross_level",), e0.mean, math.hypot(e0.stderr, e1.stderr), e1.mean))
-    return _report(spec, rows)
+        p = ScaleParams(*_tilt_arrays(gk, tilts))
 
+        def obs(u, s):
+            return np.exp((np.exp(u) * (1.0 + 1j * s)) @ alpha_k) * tilt(gk, p, u, s)
 
-def _susy_level_estimate(tower, k, alpha, tau, params, algebra, cc):
-    """E over level k of M_{alpha,tau} e^{-<pi, varpi>} plus its closed form.
+        ref = laplace_closed_form(gk, p) * np.exp(alpha_k @ (p.a - 1j * p.b))
+        return expect(gk, obs, chain), ref
 
-    `params` maps vertex ids to [a, b, chibar, chi] (identity elsewhere) and
-    `tau` to odd sources; both are kept on the level, since the pinned odd
-    fields vanish and nothing aggregates onto the boundary."""
-    gk = wired_subgraph(tower, k)
-    alpha_k = extend_alpha(tower, alpha, k)
-    level = list(tower.levels[k])
-    tau_k = {v: t for v, t in tau.items() if v in level}
-    zero = algebra.zero()
-    quads = [params.get(vid, (1.0, 0.0, zero, zero)) for vid in level] + [(1.0, 0.0, zero, zero)]
-    a = [as_even(q[0], algebra) for q in quads]
-    b = [as_even(q[1], algebra) for q in quads]
-    cb = [q[2] for q in quads]
-    c = [q[3] for q in quads]
-
-    def f(u, s, psibar, psi, alg):
-        acc = _pairing_exponent(gk, u, s, psibar, psi, alg, a, b, cb, c)
-        for i in range(gk.n_total):
-            eu = as_even(u[i], alg).fn("exp")
-            acc = acc + (eu + eu * as_even(s[i], alg) * 1j) * alpha_k[i]
-            vid = gk.vertex_ids[i]
-            if vid in tau_k:
-                acc = acc + tau_k[vid].embed(alg) * (eu * (psibar[i] + psi[i] * 1j))
-        return acc.fn("exp")
-
-    est = super_expect(gk, f, algebra, cc)
-
-    lap = laplace_closed_form(gk, (a, b), cb, c, algebra)
-    scalar_exp = 0.0 + 0.0j
-    for i in range(gk.n_total):
-        scalar_exp += alpha_k[i] * (complex(a[i].body) - 1j * complex(b[i].body))
-    odd_exp = algebra.zero()
-    for i in range(gk.n_inner):
-        vid = gk.vertex_ids[i]
-        if vid in tau_k:
-            odd_exp = odd_exp - tau_k[vid] * (cb[i] + c[i] * 1j)
-    return est, lap * (complex(math.e) ** scalar_exp) * odd_exp.fn("exp")
+    rows, residual = _level_rows(spec, n, estimate)
+    return _report(spec, rows, {"closed_form_residual": residual}, exact=residual <= spec.tolerance)
 
 
 def _check_martingale_super(spec: CheckSpec) -> dict:
     """Grassmann-valued martingale with odd tilt parameters and an odd source
     tau on vertex 1, at two consecutive wired levels.
 
-    Both levels are compared to the shared closed form L * e^{<alpha, a-ib>}
+    Both levels are compared to their closed forms L * e^{<alpha, a-ib>}
     * e^{-<tau, chibar+i chi>} and to each other; the closed forms of the two
     levels must agree within the spec's tolerance.
     """
     tower = spec.tower or line_tower()
-    n = spec.params.get("level", 1)
     algebra = GeneratorSet(["cb_1", "c_1", "tau_1"])
     params = {"1": (1.2, 0.3, algebra.gen("cb_1") * 0.8, algebra.gen("c_1") * 0.6)}
     tau = {"1": algebra.gen("tau_1") * 0.5}
     alpha = {"1": -0.7}
-    cc2 = replace(spec.chain, seed=spec.chain.seed + 1)
-    est_n, ref_n = _susy_level_estimate(tower, n, alpha, tau, params, algebra, spec.chain)
-    est_n1, ref_n1 = _susy_level_estimate(tower, n + 1, alpha, tau, params, algebra, cc2)
 
-    rows = []
-    for subset in sorted(set(est_n.mean) | set(est_n1.mean), key=lambda t: (len(t), t)):
-        ref = _ref_coefficient(ref_n, subset)
-        rows.append(_row(subset, est_n.mean.get(subset, 0.0), est_n.stderr.get(subset, 0.0), ref))
-        rows.append(_row(subset, est_n1.mean.get(subset, 0.0), est_n1.stderr.get(subset, 0.0), ref))
-        se = math.hypot(est_n.stderr.get(subset, 0.0), est_n1.stderr.get(subset, 0.0))
-        rows.append(_row(subset, est_n.mean.get(subset, 0.0), se, est_n1.mean.get(subset, 0.0)))
-    closed_res = max(
-        abs(_ref_coefficient(ref_n, s) - _ref_coefficient(ref_n1, s))
-        for s in set(dict(ref_n.subsets())) | set(dict(ref_n1.subsets()))
-    )
-    return _report(spec, rows, {"closed_form_residual": closed_res}, exact=closed_res <= spec.tolerance)
+    def estimate(k, chain):
+        gk = wired_subgraph(tower, k)
+        f, ref = _martingale_terms(gk, extend_alpha(tower, alpha, k), tau, params, algebra)
+        return super_expect(gk, f, algebra, chain), ref
+
+    rows, residual = _level_rows(spec, spec.params.get("level", 1), estimate)
+    return _report(spec, rows, {"closed_form_residual": residual}, exact=residual <= spec.tolerance)
 
 
 #: default index multisets j of the two derivative-martingale checks; repeated
@@ -739,35 +723,31 @@ def _check_martingale_derivatives(spec: CheckSpec) -> dict:
     tower = spec.tower or line_tower()
     n = spec.params.get("level", 2)
     # damping tilt: entries a >= 1 keep the heavy e^{ku} tails integrable in MC
-    tilt = spec.params.get("tilt", {"1": (1.15, 0.2), "2": (1.1, -0.15), "3": (1.05, 0.1)})
-    rows = []
+    tilts = spec.params.get("tilt", {"1": (1.15, 0.2), "2": (1.1, -0.15), "3": (1.05, 0.1)})
+    rows, residual = [], 0.0
     for k, j_ids in enumerate(spec.params.get("j_sets", _DERIVATIVE_J_SETS[spec.id])):
-        label = "+".join(j_ids) if j_ids else "unit"
-        ests = []
-        for level, seed_shift in ((n, 0), (n + 1, 1)):
+
+        def estimate(level, chain, j_ids=j_ids):
             gk = wired_subgraph(tower, level)
-            a, b = _tilt_arrays(gk, tilt)
+            a, b = _tilt_arrays(gk, tilts)
             # the observable grows like prod e^{u_{j_p}}, so the mean is dominated
             # by rare correlated excursions of u; importance sampling with mixture
             # components along the path to the saddle of log rho + <k, u> covers
             # both the bulk and the dominating ridge
             obs = _derivative_martingale_observable(gk, j_ids, a, b)
-            counts = np.zeros(gk.n_inner)
-            for vid in j_ids:
-                counts[gk.index_of(vid)] += 1.0
+            idx = [gk.index_of(v) for v in j_ids]
             centers = None
             if j_ids:
-                saddle = _tail_saddle(gk, counts)
+                saddle = _tail_saddle(gk, np.bincount(idx, minlength=gk.n_inner).astype(float))
                 centers = [0.5 * saddle, saddle]
-            cck = replace(spec.chain, seed=spec.chain.seed + 10 * k + seed_shift)
-            est = expect_importance(gk, obs, cck, centers=centers)
-            lap = laplace_closed_form(gk, ScaleParams(a, b))
-            ref = lap * np.prod([a[gk.index_of(v)] - 1j * b[gk.index_of(v)] for v in j_ids]) if j_ids else lap
-            ests.append(est)
-            rows.append(_row((label, f"level_{level}"), est.mean, est.stderr, ref))
-        e0, e1 = ests
-        rows.append(_row((label, "cross_level"), e0.mean, math.hypot(e0.stderr, e1.stderr), e1.mean))
-    return _report(spec, rows)
+            ref = laplace_closed_form(gk, ScaleParams(a, b)) * np.prod(a[idx] - 1j * b[idx])
+            return expect_importance(gk, obs, chain, centers=centers), ref
+
+        label = ("+".join(j_ids) if j_ids else "unit",)
+        level_rows, level_residual = _level_rows(spec, n, estimate, label, seed_shift=10 * k)
+        rows += level_rows
+        residual = max(residual, level_residual)
+    return _report(spec, rows, {"closed_form_residual": residual}, exact=residual <= spec.tolerance)
 
 
 # -- registry ----------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Coupling matrix, density representations, inversions, and the cartesian
-coordinate change."""
+"""Coupling matrix, density representations and inversions."""
 
 import math
 import warnings
@@ -13,7 +12,6 @@ import hypersigma
 from hypersigma import (
     EstimationError,
     FieldConfig,
-    GeneratorSet,
     Graph,
     InversionError,
     build_A,
@@ -23,11 +21,9 @@ from hypersigma import (
     line_tower,
     log_rho_density,
     rho_density,
-    s_cart,
     s_from_beta_theta,
     single_edge,
     spinor_det_sides,
-    to_cartesian,
     triangle,
     u_from_beta,
     wired_subgraph,
@@ -206,28 +202,6 @@ def test_inversion_rejects_beta_outside_the_image(beta):
         u_from_beta(g, beta)
     with pytest.raises(InversionError):
         s_from_beta_theta(g, beta, [0.3, -0.2])
-
-
-def test_cartesian_constraint_and_action():
-    """z^2 = 1 + x^2 + y^2 + 2 xi eta, and s_cart matches the direct edge sum."""
-    rng = np.random.default_rng(6)
-    g = triangle()
-    algebra = GeneratorSet(["pb_1", "p_1", "pb_2", "p_2"])
-    cfg = random_fields(rng, 3)
-    psibar = [algebra.gen("pb_1"), algebra.gen("pb_2"), algebra.zero()]
-    psi = [algebra.gen("p_1"), algebra.gen("p_2"), algebra.zero()]
-    pt = to_cartesian(cfg, psibar, psi, algebra)
-    for i in range(3):
-        lhs = pt.z[i] * pt.z[i]
-        rhs = algebra.scalar(1.0 + pt.y[i] ** 2) + pt.x[i] * pt.x[i] + pt.xi[i] * pt.eta[i] * 2.0
-        diff = lhs - rhs
-        assert max((abs(c) for c in diff.coeffs.values()), default=0.0) < 1e-12
-    action = s_cart(g, pt)
-    direct = -sum(
-        w * (math.cosh(cfg.u[i] - cfg.u[j]) - 1.0 + 0.5 * (cfg.s[i] - cfg.s[j]) ** 2 * math.exp(cfg.u[i] + cfg.u[j]))
-        for i, j, w in g.edges()
-    )
-    assert abs(action.body - direct) < 1e-12
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -112,7 +113,34 @@ def test_martingale_super_check():
     assert rep["verdict"] == "pass"
     assert rep["closed_form_residual"] <= 1e-12
     subsets = {tuple(r["subset"]) for r in rep["coefficients"]}
-    assert {(), ("c_1", "tau_1"), ("cb_1", "tau_1")} <= subsets
+    for tag in ("level_1", "level_2", "cross_level"):
+        assert {(tag,), ("c_1", "tau_1", tag), ("cb_1", "tau_1", tag)} <= subsets
+
+
+def test_martingale_closed_form_keeps_the_soul_of_a():
+    """With a Grassmann-valued a (an even soul), the factor e^{<alpha, a - ib>}
+    of the closed form is taken of the whole element, not of its body."""
+    from hypersigma import GeneratorSet, extend_alpha, line_tower, super_expect, wired_subgraph
+
+    tower = line_tower()
+    algebra = GeneratorSet(["cb_1", "c_1", "tau_1"])
+    cb, c = algebra.gen("cb_1"), algebra.gen("c_1")
+    params = {"1": (algebra.scalar(1.2) + cb * c * 0.5, 0.3, cb * 0.8, c * 0.6)}
+    tau = {"1": algebra.gen("tau_1") * 0.5}
+    g = wired_subgraph(tower, 1)
+    f, ref = verify._martingale_terms(g, extend_alpha(tower, {"1": -0.7}, 1), tau, params, algebra)
+    est = super_expect(g, f, algebra, ChainConfig(n_samples=40_000, burn_in=800, n_chains=8, seed=3))
+    rows = verify._rows_vs_reference(est, ref)
+    assert ("cb_1", "c_1") in {tuple(r["subset"]) for r in rows}
+    assert max(r["z"] for r in rows) < 4.0
+
+
+def test_rows_of_a_report_have_distinct_subsets():
+    """Every row of every registered check can be told apart by its subset."""
+    for cid, spec in default_specs(seed=0).items():
+        rep = run_check(replace(spec, chain=replace(spec.chain, n_samples=2_000)))
+        subsets = [tuple(r["subset"]) for r in rep.coefficients]
+        assert len(set(subsets)) == len(subsets), (cid, subsets)
 
 
 def test_importance_sampled_check_does_not_import_scipy():
@@ -136,7 +164,8 @@ def test_importance_sampled_check_does_not_import_scipy():
 def test_closed_form_comparisons_use_the_spec_tolerance(monkeypatch):
     """A 1e-13 gap between the closed forms of two wired levels passes at
     tolerance 1e-12 and fails at 1e-14, in consistency's closed_form row and in
-    martingale-super's closed-form verdict (whose z-scored rows are waived)."""
+    the closed-form verdict of the two-level martingale checks (whose z-scored
+    rows are waived)."""
     exact = verify.laplace_closed_form
 
     def gapped(g, *args, **kwargs):
@@ -148,6 +177,7 @@ def test_closed_form_comparisons_use_the_spec_tolerance(monkeypatch):
         rep = run_check(CheckSpec("consistency", chain=cc, tolerance=tol))
         assert rep.coefficients[0]["subset"] == ["closed_form"]
         assert rep.coefficients[0]["z"] == z
-        rep = run_check(CheckSpec("martingale-super", chain=cc, tolerance=tol, z_threshold=1e9))
-        assert 1e-14 < rep.extra["closed_form_residual"] < 1e-12
-        assert rep.verdict == verdict
+        for cid in ("martingale-super", "martingale-generating", "martingale-derivatives"):
+            rep = run_check(CheckSpec(cid, chain=cc, tolerance=tol, z_threshold=1e9))
+            assert 1e-14 < rep.extra["closed_form_residual"] < 1e-12, cid
+            assert rep.verdict == verdict, cid
