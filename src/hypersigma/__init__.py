@@ -42,7 +42,6 @@ from .sampler import (
     expect,
     expect_importance,
     fermion_weight,
-    gelman_rubin,
     grassmann_reduce,
     psi_algebra,
     psi_vectors,

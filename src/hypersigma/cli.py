@@ -48,12 +48,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="hypersigma", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_chain_flags(p):
-        p.add_argument("--samples", type=int, default=None, help="MC samples per chain")
-        p.add_argument("--burnin", type=int, default=None, help="burn-in steps per chain")
-        p.add_argument("--thin", type=int, default=None, help="thinning stride")
-        p.add_argument("--chains", type=int, default=None, help="number of chains")
-        p.add_argument("--proposal-scale", type=float, default=None, help="random-walk step size")
+    def add_sample_flags(p):
+        p.add_argument("--samples", type=int, default=None, help="number of independent draws")
         p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
 
     def add_output_flags(p):
@@ -68,7 +64,7 @@ def _build_parser() -> _Parser:
     run_p.add_argument("--tower", type=str, default=None, help="tower fixture JSON path")
     run_p.add_argument("--tol", type=float, default=None, help="deterministic tolerance override")
     run_p.add_argument("--z-threshold", type=float, default=None, help="statistical z threshold override")
-    add_chain_flags(run_p)
+    add_sample_flags(run_p)
     add_output_flags(run_p)
 
     suite_p = sub.add_parser("suite", help="run every check matching a glob pattern")
@@ -78,7 +74,7 @@ def _build_parser() -> _Parser:
 
     sample_p = sub.add_parser("sample", help="stream (u, s) draws as JSON lines")
     sample_p.add_argument("--graph", required=True, help="graph fixture JSON path")
-    add_chain_flags(sample_p)
+    add_sample_flags(sample_p)
     sample_p.add_argument("--out", type=str, default=None, help="write JSON lines to this path")
 
     lap_p = sub.add_parser("laplace", help="print the closed-form Laplace transform value")
@@ -106,19 +102,8 @@ def _load_tower(path: str) -> GraphTower:
 
 
 def _chain_from_args(args, base: ChainConfig) -> ChainConfig:
-    updates = {}
-    for attr, flag in (
-        ("n_samples", "samples"),
-        ("burn_in", "burnin"),
-        ("thinning", "thin"),
-        ("n_chains", "chains"),
-        ("proposal_scale", "proposal_scale"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[attr] = value
-    return replace(base, **updates)
+    updates = {"n_samples": args.samples, "seed": args.seed}
+    return replace(base, **{attr: value for attr, value in updates.items() if value is not None})
 
 
 def _emit(text: str, out_path):

@@ -781,10 +781,10 @@ def list_check_ids() -> list:
 
 def default_specs(seed: int = 0) -> dict:
     """Bundled CheckSpec per registered id, sized for a quick full suite."""
-    fast = ChainConfig(n_samples=20_000, burn_in=1_500, n_chains=8, seed=seed)
-    slow = ChainConfig(n_samples=2_000, burn_in=800, n_chains=4, seed=seed)
+    fast = ChainConfig(n_samples=20_000, seed=seed)
+    slow = ChainConfig(n_samples=2_000, seed=seed)
     # importance-sampling checks are cheap per sample; give them more draws
-    heavy = ChainConfig(n_samples=200_000, burn_in=1_500, n_chains=8, seed=seed)
+    heavy = ChainConfig(n_samples=200_000, seed=seed)
     specs = {
         "rho-equivalence": CheckSpec("rho-equivalence", chain=fast),
         "spinor-identity": CheckSpec("spinor-identity", chain=fast),
@@ -797,9 +797,7 @@ def default_specs(seed: int = 0) -> dict:
         "laplace-grassmann": CheckSpec("laplace-grassmann", graph=single_edge(), chain=slow, tolerance=1e-6),
         "consistency": CheckSpec("consistency", tower=line_tower(), chain=fast, tolerance=1e-14),
         "martingale-generating": CheckSpec("martingale-generating", tower=line_tower(), chain=fast),
-        "martingale-super": CheckSpec(
-            "martingale-super", tower=line_tower(), chain=ChainConfig(n_samples=1_000, burn_in=800, n_chains=4, seed=seed)
-        ),
+        "martingale-super": CheckSpec("martingale-super", tower=line_tower(), chain=ChainConfig(n_samples=1_000, seed=seed)),
         "martingale-derivatives": CheckSpec("martingale-derivatives", tower=line_tower(), chain=heavy),
         "martingale-special-cases": CheckSpec("martingale-special-cases", tower=line_tower(), chain=heavy),
         "ward": CheckSpec("ward", graph=triangle(), chain=slow),

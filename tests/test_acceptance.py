@@ -56,7 +56,7 @@ def test_criterion_02_spinor_identity():
 
 def test_criterion_03_real_laplace_transform():
     t0 = time.perf_counter()
-    cc = ChainConfig(n_samples=1_000_000, burn_in=2_000, n_chains=8, seed=11)
+    cc = ChainConfig(n_samples=1_000_000, seed=11)
     ok = True
     for g, a, b in (
         (single_edge(), [1.3], [0.4]),
@@ -76,7 +76,7 @@ def test_criterion_04_radon_nikodym():
     spec = CheckSpec(
         "radon-nikodym",
         graph=triangle(),
-        chain=ChainConfig(n_samples=40_000, burn_in=1_500, n_chains=8, seed=2),
+        chain=ChainConfig(n_samples=40_000, seed=2),
         tolerance=1e-10,
         params={"n_points": 1000, "n_bumps": 5},
     )
@@ -90,7 +90,7 @@ def test_criterion_05_consistency():
     spec = CheckSpec(
         "consistency",
         tower=line_tower(),
-        chain=ChainConfig(n_samples=40_000, burn_in=1_500, n_chains=8, seed=3),
+        chain=ChainConfig(n_samples=40_000, seed=3),
         tolerance=1e-14,
     )
     rep = run_check(spec)
@@ -161,7 +161,7 @@ def test_criterion_08_grassmann_exactness():
         triangle(),
         lambda u, s, pb, p, alg: alg.one(),
         GeneratorSet([]),
-        ChainConfig(n_samples=200, burn_in=100, seed=0),
+        ChainConfig(n_samples=200, seed=0),
     )
     mean = est.mean[()] if isinstance(est.mean, dict) else est.mean
     stderr = max(est.stderr.values()) if isinstance(est.stderr, dict) else float(np.max(est.stderr))
@@ -175,7 +175,7 @@ def test_criterion_09_grassmann_laplace_transform():
     spec = CheckSpec(
         "laplace-grassmann",
         graph=single_edge(),
-        chain=ChainConfig(n_samples=4_000, burn_in=800, n_chains=4, seed=9),
+        chain=ChainConfig(n_samples=4_000, seed=9),
         tolerance=1e-6,
     )
     rep = run_check(spec)

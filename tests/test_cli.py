@@ -99,10 +99,6 @@ def test_sample_streams_json_lines(capsys):
         str(FIXTURES / "triangle.json"),
         "--samples",
         "25",
-        "--burnin",
-        "50",
-        "--chains",
-        "2",
         "--seed",
         "3",
     )
@@ -113,6 +109,13 @@ def test_sample_streams_json_lines(capsys):
         rec = json.loads(ln)
         assert len(rec["u"]) == 3 and len(rec["s"]) == 3
         assert rec["u"][-1] == 0.0 and rec["s"][-1] == 0.0
+
+
+@pytest.mark.parametrize("flag", ["--burnin", "--thin", "--chains", "--proposal-scale"])
+def test_chain_flags_are_gone(capsys, flag):
+    """Draws are exact and independent, so the chain's flags are usage errors."""
+    code, _, _ = run_cli(capsys, "sample", "--graph", str(FIXTURES / "triangle.json"), flag, "2")
+    assert code == EXIT_USAGE
 
 
 def test_seed_env_var_default(capsys, monkeypatch):

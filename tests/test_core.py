@@ -207,8 +207,8 @@ def test_inversion_rejects_beta_outside_the_image(beta):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n_inner", [1, 2, 3, 8])
 def test_field_kernel_error_contract(n_inner):
-    """Overflow raises EstimationError at every size, in rho, in the chain
-    target and in the conditional s-draw alike; an underflowing rho is 0.0."""
+    """Overflow raises EstimationError at every size, in rho, in the u-marginal's
+    log density and in the conditional s-draw alike; an underflowing rho is 0.0."""
     from hypersigma.sampler import _log_target, sample_s_given_u
 
     g = wired_subgraph(line_tower(n_inner), n_inner - 1) if n_inner > 1 else single_edge()

@@ -129,7 +129,7 @@ def test_pullback_composition_follows_group_product():
 
 
 def test_ward_check_small_run():
-    cc = ChainConfig(n_samples=4_000, burn_in=800, n_chains=4, seed=0)
+    cc = ChainConfig(n_samples=4_000, seed=0)
     rep = run_check(CheckSpec("ward", graph=triangle(), params={"alpha": [-1.0, 0.0, 0.0], "tau": {"1": 0.7}}, chain=cc))
     assert rep.verdict == "pass"
     body = next(r for r in rep.coefficients if r["subset"] == [])
@@ -137,33 +137,33 @@ def test_ward_check_small_run():
 
 
 def test_martingale_generating_two_levels():
-    cc = ChainConfig(n_samples=20_000, burn_in=1_500, n_chains=8, seed=1)
+    cc = ChainConfig(n_samples=20_000, seed=1)
     params = {"level": 1, "alpha": {"1": -0.7}, "tilt": {"1": (1.2, 0.3)}}
     rep = run_check(CheckSpec("martingale-generating", tower=line_tower(), params=params, chain=cc))
     assert rep.verdict == "pass"
 
 
 def test_martingale_derivative_rejects_large_multisets():
-    cc = ChainConfig(n_samples=2_000, burn_in=500, n_chains=4, seed=0)
+    cc = ChainConfig(n_samples=2_000, seed=0)
     params = {"level": 2, "j_sets": [("1", "1", "1", "1")], "tilt": {}}
     with pytest.raises(ValueError):
         run_check(CheckSpec("martingale-derivatives", tower=line_tower(), params=params, chain=cc))
 
 
 def test_consistency_runs_each_level_chain_once(monkeypatch):
-    """All moment columns of a level are read from one chain."""
+    """All moment columns of a level are read from one batch of draws."""
     from hypersigma import sampler
 
     calls = []
-    run_chains = sampler._run_chains
+    stz_u = sampler._stz_u
 
-    def counting(g, cc):
-        calls.append(cc.seed)
-        return run_chains(g, cc)
+    def counting(g, n, rng):
+        calls.append((g.n_inner, n))
+        return stz_u(g, n, rng)
 
-    monkeypatch.setattr(sampler, "_run_chains", counting)
-    cc = ChainConfig(n_samples=2_000, burn_in=300, n_chains=4, seed=3)
+    monkeypatch.setattr(sampler, "_stz_u", counting)
+    cc = ChainConfig(n_samples=2_000, seed=3)
     params = {"level": 1, "vertex_params": {"1": (1.2, 0.3)}}
     rep = run_check(CheckSpec("consistency", tower=line_tower(), params=params, chain=cc))
-    assert calls == [3, 4]
+    assert calls == [(2, 2_000), (3, 2_000)]
     assert len(rep.coefficients) == 1 + 4 * 2

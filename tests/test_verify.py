@@ -96,7 +96,7 @@ def test_graph_override_is_used():
     spec = CheckSpec(
         base.id,
         graph=triangle(),
-        chain=ChainConfig(n_samples=20_000, burn_in=1_000, n_chains=4, seed=4),
+        chain=ChainConfig(n_samples=20_000, seed=4),
         tolerance=base.tolerance,
     )
     rep = run_check(spec)
@@ -129,7 +129,7 @@ def test_martingale_closed_form_keeps_the_soul_of_a():
     tau = {"1": algebra.gen("tau_1") * 0.5}
     g = wired_subgraph(tower, 1)
     f, ref = verify._martingale_terms(g, extend_alpha(tower, {"1": -0.7}, 1), tau, params, algebra)
-    est = super_expect(g, f, algebra, ChainConfig(n_samples=40_000, burn_in=800, n_chains=8, seed=3))
+    est = super_expect(g, f, algebra, ChainConfig(n_samples=40_000, seed=3))
     rows = verify._rows_vs_reference(est, ref)
     assert ("cb_1", "c_1") in {tuple(r["subset"]) for r in rows}
     assert max(r["z"] for r in rows) < 4.0
@@ -172,7 +172,7 @@ def test_closed_form_comparisons_use_the_spec_tolerance(monkeypatch):
         return exact(g, *args, **kwargs) * (1.0 + 1e-13 * g.n_inner)
 
     monkeypatch.setattr(verify, "laplace_closed_form", gapped)
-    cc = ChainConfig(n_samples=200, burn_in=100, n_chains=2, seed=0)
+    cc = ChainConfig(n_samples=200, seed=0)
     for tol, z, verdict in ((1e-12, 0.0, "pass"), (1e-14, float("inf"), "fail")):
         rep = run_check(CheckSpec("consistency", chain=cc, tolerance=tol))
         assert rep.coefficients[0]["subset"] == ["closed_form"]
