@@ -2,7 +2,9 @@
 
 Coupling matrix A(u), the local observables beta and theta, the conjugated
 matrix H_beta, three equivalent forms of the density rho, the inversion
-beta -> u by one solve with H_beta (H_beta e^{u_V} = eta, eta_i = W_{i delta}).
+beta -> u by one solve with H_beta (H_beta e^{u_V} = eta, eta_i = W_{i delta}),
+and the batched LDL^T factor of H_beta(u) behind log det A_VV, entries of
+A_VV^{-1} and s-draws.
 """
 
 from __future__ import annotations
@@ -76,14 +78,11 @@ def compute_beta(g: Graph, u: np.ndarray) -> np.ndarray:
 
 
 def compute_theta(g: Graph, u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """theta = e^{-u} A(u) s on inner vertices; equals sum_j W_ij e^{u_j}(s_i - s_j).
-
-    u and s have shape (..., n_total).
-    """
-    u = np.asarray(u, dtype=float)
+    """theta = e^{-u} A(u) s on inner vertices, as s (e^u W) - (e^u s) W without A(u);
+    u and s have shape (..., n_total).  einsum, unlike BLAS, gives a row the same bits batched or alone."""
+    eu = np.exp(np.asarray(u, dtype=float))
     s = np.asarray(s, dtype=float)
-    a_s = np.einsum("...ij,...j->...i", build_A(g, u), s)
-    return (np.exp(-u) * a_s)[..., :-1]
+    return (s * np.einsum("...j,ji->...i", eu, g.weights) - np.einsum("...j,ji->...i", eu * s, g.weights))[..., :-1]
 
 
 def h_beta(g: Graph, u: np.ndarray) -> np.ndarray:
@@ -93,36 +92,77 @@ def h_beta(g: Graph, u: np.ndarray) -> np.ndarray:
     return emu[:, None] * build_A(g, u) * emu[None, :]
 
 
-def _avv_logdet(g: Graph, u_inner: np.ndarray) -> np.ndarray:
-    """log det A_VV(u) for u_inner of shape (..., n_inner).
+def _eliminate(g: Graph, rows: int, pivot):
+    """LDL^T elimination of H_beta = 2 beta - W_VV over the inner vertices in
+    index order, for `rows` fields at once (samples on the last axis), on the
+    fill pattern of `g.elimination`.  What and etac, the Schur-complement
+    weights and right-hand side left by the earlier columns, start as W_VV and
+    eta, eta_i = W_{i delta}.  Column k's pivot x_k = 1/(2 beta_k - What_kk) is
+    `pivot(k, etac_k, (What_kj)_{j>k})`; eliminating k adds x_k What_ik What_jk
+    to What_ij and x_k What_jk etac_k to etac_j.  Returns x (n_inner, rows),
+    What (n_pairs, rows) and etac = L^{-1} eta, with L_jk = -x_k What_kj."""
+    el = g.elimination
+    m = g.n_inner
+    what = np.repeat(el.w0, rows, axis=1)
+    etac = np.repeat(g.weights[:m, -1:], rows, axis=1)
+    x = np.empty((m, rows))
+    for k in range(m):
+        wk = what[el.col[k]]
+        x[k] = pivot(k, etac[k], wk)
+        etac[el.pattern[k]] += (x[k] * etac[k]) * wk
+        tgt, a, b = el.upd[k]
+        if len(tgt):
+            what[tgt] += x[k] * wk[a] * wk[b]
+    return x, what, etac
 
-    The pinned component of u is 0.  Closed-form determinants for n_inner <= 3,
-    an LU factorization (slogdet) above.  Raises EstimationError when A_VV
-    overflows or its determinant is not positive.
+
+def _back_substitute(g: Graph, x: np.ndarray, what: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """y = L^{-T} D^{-1} rhs for the factor of `_eliminate` (D = diag(1/x)):
+    y_k = x_k (rhs_k + sum_{j>k} What_kj y_j), from the last column to the first."""
+    el = g.elimination
+    y = np.empty_like(rhs)
+    for k in reversed(range(len(x))):
+        y[k] = x[k] * (rhs[k] + (what[el.col[k]] * y[el.pattern[k]]).sum(axis=0))
+    return y
+
+
+def _h_beta_ldl(g: Graph, u_inner: np.ndarray):
+    """x and What of `_eliminate` for H_beta(u), u_inner (..., n_inner) flattened to N fields.
+
+    The deterministic twin of `sampler._stz_u`: as H_beta e^{u_V} = eta, each
+    pivot x_k = e^{u_k} / (etac_k + sum_{j>k} What_kj e^{u_j}) is a ratio of
+    positive sums.  Raises EstimationError on a non-positive or non-finite pivot.
     """
+    psi = np.exp(np.asarray(u_inner, dtype=float).reshape(-1, g.n_inner).T)
+    pat = g.elimination.pattern
+    with np.errstate(all="ignore"):
+        x, what, _ = _eliminate(g, psi.shape[1], lambda k, r, wk: psi[k] / (r + (wk * psi[pat[k]]).sum(axis=0)))
+    # NaN fails both comparisons
+    if not (x.min(initial=1.0) > 0.0 and x.max(initial=1.0) < np.inf):
+        raise EstimationError("H_beta overflowed or lost positive definiteness")
+    return x, what
+
+
+def _avv_logdet(g: Graph, u_inner: np.ndarray) -> np.ndarray:
+    """log det A_VV(u) = 2 sum_V u - sum_k log x_k (A_VV = e^u H_beta e^u) for
+    u_inner of shape (..., n_inner).  Raises EstimationError as `_h_beta_ldl`."""
     u_inner = np.asarray(u_inner, dtype=float)
-    u = np.concatenate([u_inner, np.zeros(u_inner.shape[:-1] + (1,))], axis=-1)
-    avv = build_A(g, u)[..., :-1, :-1]
-    n = g.n_inner
-    if n > 3:
-        sign, logdet = np.linalg.slogdet(avv)
-        ok = sign.min() > 0.0 and np.isfinite(logdet).all()
-    else:
-        if n == 1:
-            det = avv[..., 0, 0]
-        elif n == 2:
-            det = avv[..., 0, 0] * avv[..., 1, 1] - avv[..., 0, 1] * avv[..., 1, 0]
-        else:
-            a, b, c = avv[..., 0, 0], avv[..., 0, 1], avv[..., 0, 2]
-            d, e, f = avv[..., 1, 0], avv[..., 1, 1], avv[..., 1, 2]
-            g_, h, i = avv[..., 2, 0], avv[..., 2, 1], avv[..., 2, 2]
-            det = a * (e * i - f * h) - b * (d * i - f * g_) + c * (d * h - e * g_)
-        # NaN fails both comparisons
-        ok = det.min() > 0.0 and det.max() < np.inf
-        logdet = np.log(det) if ok else None
-    if not ok:
-        raise EstimationError("A_VV overflowed or lost positive definiteness")
-    return logdet
+    x, _ = _h_beta_ldl(g, u_inner)
+    return 2.0 * u_inner.sum(axis=-1) - np.log(x).sum(axis=0).reshape(u_inner.shape[:-1])
+
+
+def _h_beta_inverse_entries(g: Graph, u_inner: np.ndarray, idx) -> np.ndarray:
+    """G_pq = (H_beta(u)^{-1})_{idx_p idx_q} = e^{u_p+u_q} A_VV^{-1}_{idx_p idx_q},
+    shape (len(idx), len(idx), N) for u_inner (N, n_inner).  As H_beta^{-1} =
+    L^{-T} D^{-1} L^{-1}, G_pq = sum_k x_k v^p_k v^q_k with v^p = L^{-1} e_{idx_p},
+    a sum of non-negative terms."""
+    x, what = _h_beta_ldl(g, u_inner)
+    el = g.elimination
+    v = np.zeros((len(idx), g.n_inner, x.shape[1]))
+    v[np.arange(len(idx)), idx] = 1.0
+    for k in range(g.n_inner):
+        v[:, el.pattern[k]] += x[k] * v[:, k, None] * what[el.col[k]]
+    return np.einsum("akn,bkn,kn->abn", v, v, x)
 
 
 #: below this log value exp underflows float64 to 0, so rho reads as 0.0

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,6 +15,22 @@ __all__ = ["Graph", "GraphTower", "wired_subgraph", "extend_alpha", "single_edge
 
 class GraphError(ValueError):
     pass
+
+
+class Elimination(NamedTuple):
+    """Symbolic fill of the LDL^T elimination of a matrix with W_VV's pattern.
+
+    For each column k: `pattern[k]`, the index array of the later vertices j
+    with a nonzero entry (k, j) once columns 0..k-1 are eliminated; `col[k]`, the positions of the
+    pairs (k, j) among all fill pairs; `upd[k]`, a (3, T) array of triples:
+    the position of a pair (i, j), i < j, and those of (k, i) and (k, j) in
+    col[k].  `w0` (n_pairs, 1) holds W_VV on the pairs.
+    """
+
+    pattern: list
+    col: list
+    w0: np.ndarray
+    upd: list
 
 
 @dataclass(frozen=True)
@@ -74,6 +91,28 @@ class Graph:
         row-major order; built once per graph for the vectorized kernels."""
         i, j = np.nonzero(np.triu(self.weights, 1))
         return i, j, self.weights[i, j]
+
+    @cached_property
+    def elimination(self) -> Elimination:
+        """Symbolic LDL^T elimination of H_beta = 2 beta - W_VV over the inner
+        vertices in index order; built once per graph for `core._eliminate`."""
+        m = self.n_inner
+        w_vv = self.weights[:m, :m]
+        later = [set((k + 1 + np.nonzero(w_vv[k, k + 1 :])[0]).tolist()) for k in range(m)]
+        for k in range(m):
+            cols = sorted(later[k])
+            for a, i in enumerate(cols):
+                later[i].update(cols[a + 1 :])
+        pattern = [sorted(c) for c in later]
+        pairs = [(k, j) for k, c in enumerate(pattern) for j in c]
+        pos = {pair: p for p, pair in enumerate(pairs)}
+        col = [np.array([pos[k, j] for j in c], dtype=int) for k, c in enumerate(pattern)]
+        upd = []
+        for c in pattern:
+            terms = [(pos[i, j], a, b) for a, i in enumerate(c) for b, j in enumerate(c) if i < j]
+            upd.append(np.array(terms, dtype=int).reshape(-1, 3).T)
+        pattern = [np.array(c, dtype=int) for c in pattern]
+        return Elimination(pattern, col, np.array([w_vv[pair] for pair in pairs]).reshape(-1, 1), upd)
 
     def edges(self):
         """Undirected edges (i, j, w) with i < j and w > 0."""

@@ -4,7 +4,9 @@ The u-marginal (with the Gaussian s-sector integrated out analytically) is
 drawn exactly and independently: on the inner vertices beta has the
 Sabot-Tarres-Zeng law, which factorises into inverse Gaussian conditionals
 along an LDL^T elimination of H_beta, and e^u = H_beta^{-1} eta (`_stz_u`).
-s is then drawn exactly from its conditional Gaussian.  Estimates carry
+s is then drawn exactly from its conditional Gaussian through the same
+elimination run with computed pivots (`core._h_beta_ldl`), which also gives
+log det A_VV and the entries of A_VV^{-1}; no dense A_VV is built.  Estimates carry
 i.i.d. standard errors and are fully determined by (seed, config, graph).
 Grassmann-valued observables are reduced exactly per sample by Berezin
 integration, in one evaluation per chunk of samples (`_berezin_coefficients`),
@@ -20,7 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import EstimationError, _avv_logdet, _edge_action, build_A
+from .core import EstimationError, _avv_logdet, _back_substitute, _edge_action
+from .core import _eliminate, _h_beta_ldl
 from .grassmann import GeneratorSet, GrassmannElement, as_even, berezin_pairs
 from .graphs import Graph
 
@@ -85,11 +88,16 @@ def _log_target(g: Graph, u_inner: np.ndarray) -> np.ndarray:
 
     Obtained by integrating the Gaussian s-sector out of the model measure:
     (1/2) log det A_VV(u) - sum_edges W [cosh(u_i - u_j) - 1] - sum_V u_i.
+    Raises EstimationError when it overflows.
     """
     u_full = np.concatenate([u_inner, np.zeros(u_inner.shape[:-1] + (1,))], axis=-1)
     i, j, w = g.edge_arrays
-    edge_sum = (w * (np.cosh(u_full[..., i] - u_full[..., j]) - 1.0)).sum(axis=-1)
-    return 0.5 * _avv_logdet(g, u_inner) - edge_sum - u_inner.sum(axis=-1)
+    with np.errstate(over="ignore"):
+        edge_sum = (w * (np.cosh(u_full[..., i] - u_full[..., j]) - 1.0)).sum(axis=-1)
+    out = 0.5 * _avv_logdet(g, u_inner) - edge_sum - u_inner.sum(axis=-1)
+    if not np.isfinite(out).all():
+        raise EstimationError("log target overflowed")
+    return out
 
 
 def _log_target_derivatives(g: Graph, u_inner: np.ndarray):
@@ -156,62 +164,24 @@ def _tail_saddle(g: Graph, counts: np.ndarray) -> np.ndarray:
     raise EstimationError(f"saddle search did not converge in {SADDLE_MAX_STEPS} steps")
 
 
-def _fill_pattern(w_vv: np.ndarray):
-    """Symbolic fill of the LDL^T elimination of a matrix with W_VV's pattern,
-    in index order: for each column k, the later vertices j with a nonzero
-    entry (k, j) once columns 0..k-1 are eliminated."""
-    n = len(w_vv)
-    later = [set((k + 1 + np.nonzero(w_vv[k, k + 1 :])[0]).tolist()) for k in range(n)]
-    for k in range(n):
-        cols = sorted(later[k])
-        for a, i in enumerate(cols):
-            later[i].update(cols[a + 1 :])
-    return [sorted(c) for c in later]
-
-
 def _stz_u(g: Graph, n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent draws from the u-marginal, shape (n, n_total); pinned column 0.
 
     On the inner vertices beta has the STZ law nu^{W, eta}, eta_i = W_{i delta},
     and e^u = H_beta^{-1} eta with H_beta = 2 beta - W_VV.  The LDL^T elimination
-    of H_beta in index order samples each pivot instead of computing it: with
-    What and etac the Schur-complement weights and right-hand side left by the
-    earlier columns, x_k = 1/(2 beta_k - What_kk) is inverse Gaussian with mean
-    1/(etac_k + sum_{j>k} What_kj) and shape 1 (STZ restriction and
-    conditioning lemmas).  Eliminating k adds x_k What_ik What_jk to What_ij
-    and x_k What_jk etac_k to etac_j; back-substitution gives
-    e^{u_k} = x_k (etac_k + sum_{j>k} What_kj e^{u_j}).  Only off-diagonal
-    What entries on the fill pattern are stored, and rows are drawn
+    of H_beta (`core._eliminate`) samples each pivot instead of computing it:
+    with What and etac the Schur-complement weights and right-hand side left
+    by the earlier columns, x_k = 1/(2 beta_k - What_kk) is inverse Gaussian
+    with mean 1/(etac_k + sum_{j>k} What_kj) and shape 1 (STZ restriction and
+    conditioning lemmas).  Back-substitution gives
+    e^{u_k} = x_k (etac_k + sum_{j>k} What_kj e^{u_j}).  Rows are drawn
     CHUNK_ROWS at a time.
     """
-    m = g.n_inner
-    pattern = _fill_pattern(g.weights[:m, :m])
-    pairs = [(k, j) for k, c in enumerate(pattern) for j in c]
-    pos = {pair: p for p, pair in enumerate(pairs)}
-    w0 = np.array([g.weights[pair] for pair in pairs]).reshape(-1, 1)
-    col = [np.array([pos[k, j] for j in c], dtype=int) for k, c in enumerate(pattern)]
-    # per column k: the positions of What_ij in `what` and of What_ik, What_jk in col[k]
-    upd = []
-    for c in pattern:
-        terms = [(pos[i, j], a, b) for a, i in enumerate(c) for b, j in enumerate(c) if i < j]
-        upd.append(np.array(terms, dtype=int).reshape(-1, 3).T)
     out = np.zeros((n, g.n_total))
     for start in range(0, n, CHUNK_ROWS):
         rows = min(CHUNK_ROWS, n - start)
-        what = np.repeat(w0, rows, axis=1)
-        etac = np.repeat(g.weights[:m, -1:], rows, axis=1)
-        x = np.empty((m, rows))
-        for k in range(m):
-            wk = what[col[k]]
-            x[k] = rng.wald(1.0 / (etac[k] + wk.sum(axis=0)), 1.0)
-            etac[pattern[k]] += (x[k] * etac[k]) * wk
-            tgt, a, b = upd[k]
-            if len(tgt):
-                what[tgt] += x[k] * wk[a] * wk[b]
-        psi = np.empty((m, rows))
-        for k in reversed(range(m)):
-            psi[k] = x[k] * (etac[k] + (what[col[k]] * psi[pattern[k]]).sum(axis=0))
-        out[start : start + rows, :m] = np.log(psi).T
+        x, what, etac = _eliminate(g, rows, lambda k, r, wk: rng.wald(1.0 / (r + wk.sum(axis=0)), 1.0))
+        out[start : start + rows, :-1] = np.log(_back_substitute(g, x, what, etac)).T
     return out
 
 
@@ -223,17 +193,20 @@ def sample_u(g: Graph, cc: ChainConfig) -> np.ndarray:
 def _draw_s(g: Graph, u_inner: np.ndarray, z: np.ndarray) -> np.ndarray:
     """s with covariance A_VV(u)^{-1} on the inner vertices from standard
     normals z (both shaped (..., n_inner)); the pinned column is appended as 0.
-    Raises EstimationError when A_VV(u) overflows or is not positive definite."""
-    avv = build_A(g, np.concatenate([u_inner, np.zeros(u_inner.shape[:-1] + (1,))], axis=-1))[..., :-1, :-1]
-    # cholesky returns inf/NaN factors for non-finite input instead of raising
-    if not np.isfinite(avv).all():
-        raise EstimationError("A_VV overflowed")
-    try:
-        chol = np.linalg.cholesky(avv)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError("A_VV not positive definite") from exc
-    s_inner = np.linalg.solve(np.swapaxes(chol, -1, -2), z[..., None])[..., 0]
-    return np.concatenate([s_inner, np.zeros(s_inner.shape[:-1] + (1,))], axis=-1)
+
+    With A_VV = e^u H_beta e^u and H_beta = L D L^T (`core._h_beta_ldl`),
+    s_V = e^{-u} L^{-T} D^{-1/2} z: y_k = sqrt(x_k) z_k + x_k sum_{j>k} What_kj y_j.
+    This is the map z -> C^{-T} z of the Cholesky factor C of A_VV, up to
+    rounding.  Raises EstimationError when a pivot or s overflows.
+    """
+    x, what = _h_beta_ldl(g, u_inner)
+    shape = np.shape(z)
+    with np.errstate(all="ignore"):
+        y = _back_substitute(g, x, what, np.reshape(z, (-1, g.n_inner)).T / np.sqrt(x))
+        s_inner = (np.exp(-np.reshape(u_inner, (-1, g.n_inner))) * y.T).reshape(shape)
+    if not np.isfinite(s_inner).all():
+        raise EstimationError("s overflowed")
+    return np.concatenate([s_inner, np.zeros(shape[:-1] + (1,))], axis=-1)
 
 
 def sample_s_given_u(g: Graph, u: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import FieldConfig, _edge_action, build_A, compute_beta, compute_theta
+from .core import FieldConfig, _edge_action, _h_beta_inverse_entries, build_A, compute_beta, compute_theta
 from .grassmann import DomainError, GeneratorSet, GrassmannElement, GroupElement, SuperMatrix, as_even
 from .graphs import Graph
 from .sampler import fermion_weight
@@ -140,56 +140,42 @@ def _pairing_exponent(g: Graph, u, s, psibar, psi, algebra, a, b, chibar, chi):
     return -acc
 
 
+def _wick(mean, cov, pos):
+    """E[prod_{p in pos} X_p] for a Gaussian vector with means `mean[p]` and
+    covariances `cov[p, q]` (arrays over a batch); `pos` may repeat an index.
+    Isserlis' rule: E[X_a R] = mean_a E[R] + sum_{X_q in R} cov_aq E[R without X_q]."""
+    if not pos:
+        return np.ones(mean.shape[1:], dtype=complex)
+    a, rest = pos[0], pos[1:]
+    out = mean[a] * _wick(mean, cov, rest)
+    for t, q in enumerate(rest):
+        out = out + cov[a, q] * _wick(mean, cov, rest[:t] + rest[t + 1 :])
+    return out
+
+
 def _derivative_martingale_observable(gk: Graph, j_ids, tilt_a, tilt_b):
     """Vectorized conditional expectation of M_{j_1..j_k} times the tilt.
 
     The Gaussian s-sector is integrated out analytically per u-sample
     (conditional mean -e^{-u}b, covariance A_VV^{-1}), which removes all
     s-variance from the estimator, so the observable takes u alone (as
-    `expect_importance` requires); j_ids is a multiset of up to 3 vertex ids.
+    `expect_importance` requires); j_ids is a multiset of vertex ids.  The
+    factors e^{u_j}(1 + i s_j) are then Gaussian with mean e^{u_j} - i b_j and
+    covariance -e^{u_j + u_j'} A_VV^{-1}_jj' = -(H_beta^{-1})_jj', whose
+    product `_wick` expands over the distinct vertices of j, repeats included.
     """
-    idx = [gk.index_of(v) for v in j_ids]
-    if len(idx) > 3:
-        raise ValueError("at most 3 derivative indices supported")
+    cols = sorted({gk.index_of(v) for v in j_ids})
+    pos = tuple(cols.index(gk.index_of(v)) for v in j_ids)
     a = np.asarray(tilt_a, dtype=float)
     b = np.asarray(tilt_b, dtype=float)
+    # tilt times the Gaussian normalization: the b^2 beta terms cancel,
+    # leaving exp(-<(a^2-1)_V, beta> - (1/2) sum_{i != j in V} W_ij b_i b_j)
+    const = -0.5 * b[:-1] @ gk.weights[:-1, :-1] @ b[:-1]
 
     def obs(u):
-        beta = compute_beta(gk, u)
-        # tilt times the Gaussian normalization: the b^2 beta terms cancel,
-        # leaving exp(-<(a^2-1)_V, beta> - (1/2) sum_{i != j in V} W_ij b_i b_j)
-        w_vv = gk.weights[:-1, :-1]
-        const = -0.5 * b[:-1] @ w_vv @ b[:-1]
-        weight = np.exp(-(a[:-1] ** 2 - 1.0) @ beta.T + const)
-        m = -(np.exp(-u) * b)[:, :-1]
-        k = len(idx)
-        if k >= 2:
-            cov = np.linalg.inv(build_A(gk, u)[:, :-1, :-1])
-        if k == 0:
-            poly = np.ones(len(u), dtype=complex)
-        elif k == 1:
-            (p,) = idx
-            poly = 1.0 + 1j * m[:, p]
-        elif k == 2:
-            p, q = idx
-            poly = 1.0 + 1j * (m[:, p] + m[:, q]) - (cov[:, p, q] + m[:, p] * m[:, q])
-        else:
-            p, q, r = idx
-            pair = (
-                cov[:, p, q]
-                + cov[:, p, r]
-                + cov[:, q, r]
-                + m[:, p] * m[:, q]
-                + m[:, p] * m[:, r]
-                + m[:, q] * m[:, r]
-            )
-            triple = (
-                m[:, p] * m[:, q] * m[:, r]
-                + m[:, p] * cov[:, q, r]
-                + m[:, q] * cov[:, p, r]
-                + m[:, r] * cov[:, p, q]
-            )
-            poly = 1.0 + 1j * (m[:, p] + m[:, q] + m[:, r]) - pair - 1j * triple
-        return np.exp(u[:, idx].sum(axis=1)) * poly * weight
+        weight = np.exp(-(a[:-1] ** 2 - 1.0) @ compute_beta(gk, u).T + const)
+        mean = np.exp(u[:, cols]).T - 1j * b[cols, None]
+        cov = -_h_beta_inverse_entries(gk, u[:, :-1], cols)
+        return _wick(mean, cov, pos) * weight
 
     return obs

@@ -2,9 +2,12 @@
 sampling, and Grassmann-valued estimates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersigma import (
     ChainConfig,
@@ -27,10 +30,11 @@ from hypersigma import (
     wired_subgraph,
 )
 from hypersigma import sampler
-from hypersigma.core import build_A, compute_beta, compute_theta
-from hypersigma.sampler import _log_target, _log_target_derivatives, _tail_saddle
+from hypersigma.core import _avv_logdet, _h_beta_inverse_entries, build_A, compute_beta, compute_theta
+from hypersigma.sampler import _draw_s, _log_target, _log_target_derivatives, _tail_saddle
 from hypersigma.quadrature import expect_quadrature_1v
 from hypersigma.scaling import ScaleParams, laplace_closed_form, tilt
+from hypersigma.supersym import _derivative_martingale_observable
 from hypersigma.verify import _random_graph
 
 
@@ -444,3 +448,88 @@ def test_tail_saddle_level_3(monkeypatch):
     monkeypatch.setattr(sampler, "SADDLE_MAX_STEPS", 1)
     with pytest.raises(EstimationError):
         _tail_saddle(g, counts)
+
+
+KERNEL_GRAPHS = FIXTURES + [f"random{k}" for k in range(8)]
+
+
+def _kernel_graph(name):
+    if name.startswith("random"):
+        return _random_graph(np.random.default_rng(int(name[6:])), 5)
+    return _fixture(name)
+
+
+@pytest.mark.parametrize("name", KERNEL_GRAPHS)
+def test_ldl_kernel_matches_dense_references(name):
+    """The LDL^T factor of H_beta gives log det A_VV, the entries of
+    H_beta^{-1} = e^u A_VV^{-1} e^u and the s-draw of the dense references
+    (slogdet, inv and the Cholesky map z -> C^{-T} z of A_VV = C C^T) to
+    1e-12, for a batch of fields and for one field alone."""
+    g = _kernel_graph(name)
+    rng = np.random.default_rng(17)
+    u = np.concatenate([0.8 * rng.standard_normal((20, g.n_inner)), np.zeros((20, 1))], axis=1)
+    z = rng.standard_normal((20, g.n_inner))
+    avv = build_A(g, u)[:, :-1, :-1]
+    ref_logdet = np.linalg.slogdet(avv)[1]
+    eu = np.exp(u[:, :-1])
+    ref_g = np.linalg.inv(avv) * eu[:, :, None] * eu[:, None, :]
+    chol = np.linalg.cholesky(avv)
+    ref_s = np.linalg.solve(np.swapaxes(chol, -1, -2), z[..., None])[..., 0]
+    idx = list(range(g.n_inner))[::-1] + [0]
+    for rows in (slice(None), 0):
+        logdet = _avv_logdet(g, u[rows, :-1])
+        assert np.shape(logdet) == np.shape(ref_logdet[rows])
+        assert np.abs(logdet - ref_logdet[rows]).max() <= 1e-12 * max(1.0, np.abs(ref_logdet).max())
+        s = _draw_s(g, u[rows, :-1], z[rows])
+        assert s.shape == u[rows].shape and np.all(s[..., -1] == 0.0)
+        assert np.abs(s[..., :-1] - ref_s[rows]).max() <= 1e-12 * np.abs(ref_s).max()
+        entries = np.moveaxis(_h_beta_inverse_entries(g, u[rows, :-1], idx), -1, 0)
+        ref = ref_g[rows][..., idx, :][..., idx].reshape(entries.shape)
+        assert np.abs(entries - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FIXTURES), st.data())
+def test_field_kernels_are_finite_or_raise_at_extreme_u(name, data):
+    """At |u| up to 700 the log det, the log target and the s-draw return
+    finite values or raise EstimationError, without a RuntimeWarning."""
+    g = _fixture(name)
+    u = np.array(data.draw(st.lists(st.floats(-700.0, 700.0), min_size=g.n_inner, max_size=g.n_inner)))
+    z = np.random.default_rng(0).standard_normal(g.n_inner)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in (lambda: _avv_logdet(g, u), lambda: _log_target(g, u[None]), lambda: _draw_s(g, u, z)):
+            try:
+                out = kernel()
+            except EstimationError:
+                continue
+            assert np.isfinite(out).all()
+
+
+def test_estimators_build_no_dense_A_VV(monkeypatch):
+    """expect of the tilt on line levels 3 and 31 and expect_importance of
+    the derivative observable call neither build_A nor a batched inv,
+    slogdet or cholesky."""
+    import hypersigma
+
+    calls = []
+    for mod in (hypersigma, hypersigma.core, hypersigma.supersym, hypersigma.verify):
+        monkeypatch.setattr(mod, "build_A", lambda *args: calls.append("build_A"))
+    for fname in ("inv", "slogdet", "cholesky"):
+        original = getattr(np.linalg, fname)
+
+        def recording(a, *args, original=original, fname=fname):
+            if np.ndim(a) > 2:
+                calls.append(fname)
+            return original(a, *args)
+
+        monkeypatch.setattr(np.linalg, fname, recording)
+    for g in (wired_subgraph(line_tower(), 3), wired_subgraph(line_tower(32), 31)):
+        p = ScaleParams(np.append(np.full(g.n_inner, 1.1), 1.0), np.append(np.full(g.n_inner, 0.1), 0.0))
+        expect(g, lambda u, s: tilt(g, p, u, s), ChainConfig(n_samples=sampler.CHUNK_ROWS + 10, seed=0))
+    g = wired_subgraph(line_tower(), 3)
+    a, b = np.full(g.n_total, 1.1), np.full(g.n_total, 0.1)
+    saddle = _tail_saddle(g, np.array([2.0, 1.0, 0.0, 0.0]))
+    obs = _derivative_martingale_observable(g, ("1", "1", "2"), a, b)
+    expect_importance(g, obs, ChainConfig(n_samples=5_000, seed=0), centers=[0.5 * saddle, saddle])
+    assert calls == []

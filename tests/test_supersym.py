@@ -1,6 +1,7 @@
 """Superdensity, pullbacks, odd observables, and the registered checks that
 estimate them."""
 
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +27,12 @@ from hypersigma import (
     super_jacobian,
     super_scale_pullback,
     triangle,
+    wired_subgraph,
 )
+from hypersigma.core import compute_beta
+from hypersigma.sampler import _tail_saddle, expect_importance
+from hypersigma.scaling import ScaleParams, laplace_closed_form
+from hypersigma.supersym import _derivative_martingale_observable
 
 
 def random_fields(rng, n, scale=0.8):
@@ -143,11 +149,125 @@ def test_martingale_generating_two_levels():
     assert rep.verdict == "pass"
 
 
-def test_martingale_derivative_rejects_large_multisets():
-    cc = ChainConfig(n_samples=2_000, seed=0)
-    params = {"level": 2, "j_sets": [("1", "1", "1", "1")], "tilt": {}}
-    with pytest.raises(ValueError):
-        run_check(CheckSpec("martingale-derivatives", tower=line_tower(), params=params, chain=cc))
+def test_martingale_derivative_runs_a_four_index_multiset():
+    """The observable takes multisets of any size; k = 4 passes at levels 2 and 3."""
+    cc = ChainConfig(n_samples=20_000, seed=0)
+    params = {"level": 2, "j_sets": [("1", "1", "2", "3")]}
+    rep = run_check(CheckSpec("martingale-derivatives", tower=line_tower(), params=params, chain=cc))
+    assert rep.verdict == "pass"
+    assert {tuple(r["subset"]) for r in rep.coefficients} >= {("1+1+2+3", "level_2"), ("1+1+2+3", "level_3")}
+
+
+def _hand_expanded_observable(gk, j_ids, a, b):
+    """The derivative observable as it was written out for k <= 3, with a
+    dense inverse of A_VV: the reference of the Wick recursion."""
+    idx = [gk.index_of(v) for v in j_ids]
+
+    def obs(u):
+        beta = compute_beta(gk, u)
+        const = -0.5 * b[:-1] @ gk.weights[:-1, :-1] @ b[:-1]
+        weight = np.exp(-(a[:-1] ** 2 - 1.0) @ beta.T + const)
+        m = -(np.exp(-u) * b)[:, :-1]
+        k = len(idx)
+        if k >= 2:
+            cov = np.linalg.inv(build_A(gk, u)[:, :-1, :-1])
+        if k == 0:
+            poly = np.ones(len(u), dtype=complex)
+        elif k == 1:
+            (p,) = idx
+            poly = 1.0 + 1j * m[:, p]
+        elif k == 2:
+            p, q = idx
+            poly = 1.0 + 1j * (m[:, p] + m[:, q]) - (cov[:, p, q] + m[:, p] * m[:, q])
+        else:
+            p, q, r = idx
+            pair = (
+                cov[:, p, q]
+                + cov[:, p, r]
+                + cov[:, q, r]
+                + m[:, p] * m[:, q]
+                + m[:, p] * m[:, r]
+                + m[:, q] * m[:, r]
+            )
+            triple = (
+                m[:, p] * m[:, q] * m[:, r]
+                + m[:, p] * cov[:, q, r]
+                + m[:, q] * cov[:, p, r]
+                + m[:, r] * cov[:, p, q]
+            )
+            poly = 1.0 + 1j * (m[:, p] + m[:, q] + m[:, r]) - pair - 1j * triple
+        return np.exp(u[:, idx].sum(axis=1)) * poly * weight
+
+    return obs
+
+
+def _level_fields(level, rows=50, seed=0):
+    gk = wired_subgraph(line_tower(), level)
+    rng = np.random.default_rng(seed + level)
+    u = np.concatenate([0.7 * rng.standard_normal((rows, gk.n_inner)), np.zeros((rows, 1))], axis=1)
+    a = np.append(rng.uniform(0.9, 1.3, gk.n_inner), 1.0)
+    b = np.append(rng.uniform(-0.4, 0.4, gk.n_inner), 0.0)
+    return gk, u, a, b
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_wick_observable_matches_the_hand_expansion(level):
+    """For every multiset of at most 3 inner vertices the Wick recursion
+    gives the hand-expanded polynomial, sample by sample."""
+    gk, u, a, b = _level_fields(level)
+    ids = gk.vertex_ids[:-1]
+    for k in range(4):
+        for j_ids in itertools.combinations_with_replacement(ids, k):
+            new = _derivative_martingale_observable(gk, j_ids, a, b)(u)
+            ref = _hand_expanded_observable(gk, j_ids, a, b)(u)
+            assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max(), j_ids
+
+
+def _perfect_matchings(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for t, other in enumerate(rest):
+        for m in _perfect_matchings(rest[:t] + rest[t + 1 :]):
+            yield [(first, other)] + m
+
+
+@pytest.mark.parametrize("j_ids", [("1", "1", "2", "3"), ("4", "2", "2", "2"), ("1", "2", "3", "4", "1"), ("3",) * 5])
+def test_wick_observable_matches_subsets_and_matchings(j_ids):
+    """At k = 4 and 5, E[prod_p e^{u_p}(1 + i s_p) | u] is the sum over the
+    subsets S of positions of the product of the means off S times the sum
+    over perfect matchings of S of the product of covariances -G_pq, with G
+    from a dense inverse."""
+    gk, u, a, b = _level_fields(3, rows=20)
+    idx = [gk.index_of(v) for v in j_ids]
+    eu = np.exp(u[:, :-1])
+    g_dense = np.linalg.inv(build_A(gk, u)[:, :-1, :-1]) * eu[:, :, None] * eu[:, None, :]
+    mean = np.exp(u[:, idx]) - 1j * b[idx]
+    ref = np.zeros(len(u), dtype=complex)
+    for size in range(0, len(idx) + 1, 2):
+        for sub in itertools.combinations(range(len(idx)), size):
+            off = np.prod(mean[:, [p for p in range(len(idx)) if p not in sub]], axis=1)
+            for matching in _perfect_matchings(list(sub)):
+                ref += off * np.prod([-g_dense[:, idx[p], idx[q]] for p, q in matching], axis=0)
+    ref *= np.exp(-(a[:-1] ** 2 - 1.0) @ compute_beta(gk, u).T - 0.5 * b[:-1] @ gk.weights[:-1, :-1] @ b[:-1])
+    new = _derivative_martingale_observable(gk, j_ids, a, b)(u)
+    assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_four_index_derivative_martingale_matches_closed_form():
+    """expect_importance of M_{1122} under a tilt on line level 1 lies within
+    4 sigma of L(a, b) prod_p (a_{j_p} - i b_{j_p})."""
+    gk = wired_subgraph(line_tower(), 1)
+    a, b = np.array([1.15, 1.1, 1.0]), np.array([0.2, -0.15, 0.0])
+    j_ids = ("1", "1", "2", "2")
+    idx = [gk.index_of(v) for v in j_ids]
+    saddle = _tail_saddle(gk, np.bincount(idx, minlength=gk.n_inner).astype(float))
+    obs = _derivative_martingale_observable(gk, j_ids, a, b)
+    est = expect_importance(gk, obs, ChainConfig(n_samples=100_000, seed=4), centers=[0.5 * saddle, saddle])
+    ref = laplace_closed_form(gk, ScaleParams(a, b)) * np.prod(a[idx] - 1j * b[idx])
+    assert abs(est.mean - ref) <= 4.0 * est.stderr
+    assert est.stderr <= 0.2 * abs(ref)
 
 
 def test_consistency_runs_each_level_chain_once(monkeypatch):
