@@ -151,12 +151,12 @@ def _avv_logdet(g: Graph, u_inner: np.ndarray) -> np.ndarray:
     return 2.0 * u_inner.sum(axis=-1) - np.log(x).sum(axis=0).reshape(u_inner.shape[:-1])
 
 
-def _h_beta_inverse_entries(g: Graph, u_inner: np.ndarray, idx) -> np.ndarray:
+def _h_beta_inverse_entries(g: Graph, ldl, idx) -> np.ndarray:
     """G_pq = (H_beta(u)^{-1})_{idx_p idx_q} = e^{u_p+u_q} A_VV^{-1}_{idx_p idx_q},
-    shape (len(idx), len(idx), N) for u_inner (N, n_inner).  As H_beta^{-1} =
-    L^{-T} D^{-1} L^{-1}, G_pq = sum_k x_k v^p_k v^q_k with v^p = L^{-1} e_{idx_p},
-    a sum of non-negative terms."""
-    x, what = _h_beta_ldl(g, u_inner)
+    shape (len(idx), len(idx), N), from the factor `ldl = _h_beta_ldl(g, u_inner)`
+    of N fields.  As H_beta^{-1} = L^{-T} D^{-1} L^{-1}, G_pq = sum_k x_k v^p_k v^q_k
+    with v^p = L^{-1} e_{idx_p}, a sum of non-negative terms."""
+    x, what = ldl
     el = g.elimination
     v = np.zeros((len(idx), g.n_inner, x.shape[1]))
     v[np.arange(len(idx)), idx] = 1.0

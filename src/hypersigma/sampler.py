@@ -12,7 +12,9 @@ Grassmann-valued observables are reduced exactly per sample by Berezin
 integration, in one evaluation per chunk of samples (`_berezin_coefficients`),
 so only (u, s) is stochastic: their expectation is `expect` of the real vector
 of parameter-algebra coefficients.  Tail-dominated observables of u alone go
-through Hessian-matched mixture importance sampling.
+through Hessian-matched mixture importance sampling, which factors each chunk
+of at most CHUNK_ROWS draws once and hands the observable (u, ldl): the
+fields and that LDL^T factor.
 """
 
 from __future__ import annotations
@@ -83,18 +85,20 @@ PROPOSAL_SIGMA = 1.5
 SADDLE_MAX_STEPS = 50
 
 
-def _log_target(g: Graph, u_inner: np.ndarray) -> np.ndarray:
-    """Log density of the u-marginal (up to a constant).
+def _log_target(g: Graph, u_inner: np.ndarray, ldl) -> np.ndarray:
+    """Log density of the u-marginal (up to a constant) at u_inner (..., n_inner).
 
     Obtained by integrating the Gaussian s-sector out of the model measure:
-    (1/2) log det A_VV(u) - sum_edges W [cosh(u_i - u_j) - 1] - sum_V u_i.
+    (1/2) log det A_VV(u) - sum_edges W [cosh(u_i - u_j) - 1] - sum_V u_i.  As
+    A_VV = e^u H_beta e^u, (1/2) log det A_VV - sum_V u = -(1/2) sum_k log x_k
+    over the pivots x of `ldl`, the factor `core._h_beta_ldl(g, u_inner)`.
     Raises EstimationError when it overflows.
     """
     u_full = np.concatenate([u_inner, np.zeros(u_inner.shape[:-1] + (1,))], axis=-1)
     i, j, w = g.edge_arrays
     with np.errstate(over="ignore"):
         edge_sum = (w * (np.cosh(u_full[..., i] - u_full[..., j]) - 1.0)).sum(axis=-1)
-    out = 0.5 * _avv_logdet(g, u_inner) - edge_sum - u_inner.sum(axis=-1)
+    out = -0.5 * np.log(ldl[0]).sum(axis=0).reshape(u_inner.shape[:-1]) - edge_sum
     if not np.isfinite(out).all():
         raise EstimationError("log target overflowed")
     return out
@@ -128,7 +132,9 @@ def _log_target_derivatives(g: Graph, u_inner: np.ndarray):
     cw = w * np.cosh(diff)
     grad = 0.5 * jac.T @ gd - (w * np.sinh(diff)).sum(axis=1)
     hess = 0.5 * (t - jac.T @ (gmat * gmat) @ jac) - np.diag(cw.sum(axis=1)) + cw[:, :-1]
-    return grad, hess
+    # at saddles far from u = 0 the terms cancel, and rounding alone would
+    # leave the Hessian up to ~1e-9 (relative) from symmetric
+    return grad, 0.5 * (hess + hess.T)
 
 
 def _tail_saddle(g: Graph, counts: np.ndarray) -> np.ndarray:
@@ -141,7 +147,7 @@ def _tail_saddle(g: Graph, counts: np.ndarray) -> np.ndarray:
     """
 
     def objective(x):
-        return _log_target(g, x[None, :])[0] + counts @ x
+        return _log_target(g, x[None, :], _h_beta_ldl(g, x[None, :]))[0] + counts @ x
 
     u = np.zeros(g.n_inner)
     f = objective(u)
@@ -248,50 +254,77 @@ def expect(g: Graph, observable, cc: ChainConfig) -> Estimate:
     return Estimate(mean=mean, stderr=stderr, n_effective=float(n), seed=cc.seed)
 
 
+def _proposal_mixture(g: Graph, centers):
+    """The importance proposal: an equal-weight Gaussian mixture with one
+    component per center c_k, of covariance L_k L_k^T = PROPOSAL_SIGMA^2
+    times the inverse of the exact negative Hessian of the log target at c_k.
+
+    Returns (draw, log_q).  draw(z, pick) maps standard normals z (N, n_inner)
+    to the points c_k + L_k z of the components `pick` (N,); log_q(u_t) is the
+    mixture's log density at the columns of u_t (n_inner, N), up to the shared
+    constant -(n_inner/2) log 2 pi.  The components sit side by side, so each
+    is one matrix product for all of them: with the factors L_k^T for draws,
+    with the whitening factors L_k^{-1} for densities.
+    """
+    nc, n = len(centers), g.n_inner
+    centers = np.array(centers, dtype=float)
+    precs = [-_log_target_derivatives(g, c)[1] / PROPOSAL_SIGMA**2 for c in centers]
+    chols = [np.linalg.cholesky(np.linalg.inv(prec)) for prec in precs]
+    factors = np.concatenate([chol.T for chol in chols], axis=1)
+    whiten = np.concatenate([np.linalg.inv(chol) for chol in chols])
+    offset = (whiten.reshape(nc, n, n) @ centers[:, :, None]).reshape(-1, 1)
+    # log det L_k from its diagonal, and the equal weights 1/nc
+    log_norm = np.log([np.diag(chol) for chol in chols]).sum(axis=1)[:, None] + math.log(nc)
+
+    def draw(z, pick):
+        return (z @ factors).reshape(len(z), nc, n)[np.arange(len(z)), pick] + centers[pick]
+
+    def log_q(u_t):
+        z = (whiten @ u_t - offset).reshape(nc, n, -1)
+        comps = -0.5 * np.einsum("kin,kin->kn", z, z) - log_norm
+        top = comps.max(axis=0)
+        return top + np.log(np.exp(comps - top).sum(axis=0))
+
+    return draw, log_q
+
+
 def expect_importance(g: Graph, observable, cc: ChainConfig, centers=None) -> Estimate:
     """Self-normalized importance-sampling mean of an observable of u alone.
 
-    `observable(u)` takes an (N, n_total) array and returns a vector of length
-    N; an observable of (u, s) enters through its conditional expectation
-    given u, which integrates the Gaussian s-sector out.  Proposes u from an
-    equal-weight Gaussian mixture over the given centers (always including
-    the origin) on the inner vertices and reweights by the exact u-marginal
-    density.
-    Each component's covariance is PROPOSAL_SIGMA^2 times the inverse of the
-    exact negative Hessian of the log density at its center, so the strong
-    correlations of the marginal are matched.  The superexponential decay of
-    the marginal keeps the weights bounded, so this resolves tail-dominated observables (e.g.
-    growing like e^{k u_j}) whose plain Monte-Carlo mean has a far larger
-    standard error at the same sample count.  Draws are independent; the
-    standard error uses batched ratio statistics.
+    `observable(u, ldl)` gets an (N, n_total) array and `ldl =
+    core._h_beta_ldl(g, u[:, :-1])`, the factor the target density was read
+    from (`core._h_beta_inverse_entries` takes it as is), and returns a vector
+    of length N.  It is called once per chunk of at most CHUNK_ROWS rows.  An
+    observable of (u, s) enters through its conditional expectation given u,
+    which integrates the Gaussian s-sector out.  Proposes u from the mixture
+    of `_proposal_mixture` over the given centers (always including the
+    origin) and reweights by the exact u-marginal density.  The components'
+    covariances match the strong correlations of the marginal, and its
+    superexponential decay keeps the weights bounded, so this resolves
+    tail-dominated observables (e.g. growing like e^{k u_j}) whose plain
+    Monte-Carlo mean has a far larger standard error at the same sample
+    count.  Draws are independent; the standard error uses batched ratio
+    statistics.
     """
     n = g.n_inner
     rng = np.random.default_rng(np.random.SeedSequence((cc.seed, 0x15)))
     all_centers = [np.zeros(n)]
     if centers is not None:
         all_centers += [np.asarray(c, dtype=float) for c in centers]
-    nc = len(all_centers)
-    precs = [-_log_target_derivatives(g, c)[1] / PROPOSAL_SIGMA**2 for c in all_centers]
-    chols = [np.linalg.cholesky(np.linalg.inv(prec)) for prec in precs]
-    pick = rng.integers(0, nc, cc.n_samples)
+    draw, log_q = _proposal_mixture(g, all_centers)
+    pick = rng.integers(0, len(all_centers), cc.n_samples)
     z0 = rng.standard_normal((cc.n_samples, n))
-    ui = np.empty((cc.n_samples, n))
-    for k, c in enumerate(all_centers):
-        m = pick == k
-        ui[m] = c + z0[m] @ chols[k].T
-    logp = _log_target(g, ui)
-    # log N(ui; c, cov), up to the shared constant; log det cov from its Cholesky diagonal
-    comps = [
-        -0.5 * np.einsum("ni,ij,nj->n", ui - c, prec, ui - c) - np.log(np.diag(chol)).sum()
-        for c, prec, chol in zip(all_centers, precs, chols)
-    ]
-    logq = np.logaddexp.reduce(np.stack(comps), axis=0) - math.log(nc)
-    lw = logp - logq
-    w = np.exp(lw - lw.max())
-
-    vals = np.asarray(observable(np.concatenate([ui, np.zeros((cc.n_samples, 1))], axis=1)))
+    lw, vals = [], []
+    for start in range(0, cc.n_samples, CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        ui = draw(z0[rows], pick[rows])
+        ldl = _h_beta_ldl(g, ui)
+        lw.append(_log_target(g, ui, ldl) - log_q(ui.T))
+        vals.append(np.asarray(observable(np.concatenate([ui, np.zeros((len(ui), 1))], axis=1), ldl)))
+    lw, vals = np.concatenate(lw), np.concatenate(vals)
     if not np.all(np.isfinite(np.abs(vals))):
         raise EstimationError("observable produced NaN/Inf values")
+    w = np.exp(lw - lw.max())
 
     nb = 64
     bs = max(cc.n_samples // nb, 1)
@@ -408,7 +441,9 @@ def super_expect(g: Graph, f, param_algebra: GeneratorSet, cc: ChainConfig, soul
     exactly per sample, so the estimate is `expect` of the vector of
     parameter-algebra coefficients; only the (u, s) average is stochastic.
     The returned mean/stderr are dicts keyed by tuples of parameter-generator
-    names, without the monomials whose mean is below 1e-14 with zero stderr.
+    names, without the monomials whose mean and stderr are both at most
+    1e-12 max(1, |body mean|): roundoff of a coefficient that vanishes in
+    exact arithmetic, so the row set does not depend on the seed.
 
     With `soul_weights` (nilpotent even additions to the edge weights) the
     sample stream still targets the real-weight measure and the density ratio
@@ -417,8 +452,9 @@ def super_expect(g: Graph, f, param_algebra: GeneratorSet, cc: ChainConfig, soul
     est = expect(g, lambda u, s: _berezin_coefficients(g, f, u, s, param_algebra, soul_weights), cc)
     mean: dict = {}
     stderr: dict = {}
+    roundoff = 1e-12 * max(1.0, abs(est.mean[0]))
     for mask, (mu, se) in enumerate(zip(est.mean, est.stderr)):
-        if abs(mu) < 1e-14 and se == 0.0:
+        if abs(mu) <= roundoff and se <= roundoff:
             continue
         names = tuple(param_algebra.names[b] for b in range(len(param_algebra)) if mask >> b & 1)
         mean[names] = complex(mu) if abs(complex(mu).imag) > 0 else float(complex(mu).real)

@@ -158,11 +158,12 @@ def _derivative_martingale_observable(gk: Graph, j_ids, tilt_a, tilt_b):
 
     The Gaussian s-sector is integrated out analytically per u-sample
     (conditional mean -e^{-u}b, covariance A_VV^{-1}), which removes all
-    s-variance from the estimator, so the observable takes u alone (as
-    `expect_importance` requires); j_ids is a multiset of vertex ids.  The
-    factors e^{u_j}(1 + i s_j) are then Gaussian with mean e^{u_j} - i b_j and
-    covariance -e^{u_j + u_j'} A_VV^{-1}_jj' = -(H_beta^{-1})_jj', whose
-    product `_wick` expands over the distinct vertices of j, repeats included.
+    s-variance from the estimator, so the observable takes u alone, with the
+    LDL^T factor of H_beta(u) (as `expect_importance` hands it); j_ids is a
+    multiset of vertex ids.  The factors e^{u_j}(1 + i s_j) are then Gaussian
+    with mean e^{u_j} - i b_j and covariance -e^{u_j + u_j'} A_VV^{-1}_jj' =
+    -(H_beta^{-1})_jj', read from that factor, whose product `_wick` expands
+    over the distinct vertices of j, repeats included.
     """
     cols = sorted({gk.index_of(v) for v in j_ids})
     pos = tuple(cols.index(gk.index_of(v)) for v in j_ids)
@@ -172,10 +173,10 @@ def _derivative_martingale_observable(gk: Graph, j_ids, tilt_a, tilt_b):
     # leaving exp(-<(a^2-1)_V, beta> - (1/2) sum_{i != j in V} W_ij b_i b_j)
     const = -0.5 * b[:-1] @ gk.weights[:-1, :-1] @ b[:-1]
 
-    def obs(u):
+    def obs(u, ldl):
         weight = np.exp(-(a[:-1] ** 2 - 1.0) @ compute_beta(gk, u).T + const)
         mean = np.exp(u[:, cols]).T - 1j * b[cols, None]
-        cov = -_h_beta_inverse_entries(gk, u[:, :-1], cols)
+        cov = -_h_beta_inverse_entries(gk, ldl, cols)
         return _wick(mean, cov, pos) * weight
 
     return obs

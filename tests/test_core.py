@@ -209,6 +209,7 @@ def test_inversion_rejects_beta_outside_the_image(beta):
 def test_field_kernel_error_contract(n_inner):
     """Overflow raises EstimationError at every size, in rho, in the u-marginal's
     log density and in the conditional s-draw alike; an underflowing rho is 0.0."""
+    from hypersigma.core import _h_beta_ldl
     from hypersigma.sampler import _log_target, sample_s_given_u
 
     g = wired_subgraph(line_tower(n_inner), n_inner - 1) if n_inner > 1 else single_edge()
@@ -219,7 +220,7 @@ def test_field_kernel_error_contract(n_inner):
     with pytest.raises(EstimationError):
         rho_density(g, cfg)
     with pytest.raises(EstimationError):
-        _log_target(g, u[None, :-1])
+        _log_target(g, u[None, :-1], _h_beta_ldl(g, u[None, :-1]))
     with pytest.raises(EstimationError):
         sample_s_given_u(g, u[None], np.random.default_rng(0))
     u[0] = -700.0

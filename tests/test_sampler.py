@@ -1,6 +1,7 @@
 """Monte-Carlo machinery: exact draws of u, conditional draws of s, importance
 sampling, and Grassmann-valued estimates."""
 
+import inspect
 import math
 import warnings
 
@@ -30,7 +31,7 @@ from hypersigma import (
     wired_subgraph,
 )
 from hypersigma import sampler
-from hypersigma.core import _avv_logdet, _h_beta_inverse_entries, build_A, compute_beta, compute_theta
+from hypersigma.core import _avv_logdet, _h_beta_inverse_entries, _h_beta_ldl, build_A, compute_beta, compute_theta
 from hypersigma.sampler import _draw_s, _log_target, _log_target_derivatives, _tail_saddle
 from hypersigma.quadrature import expect_quadrature_1v
 from hypersigma.scaling import ScaleParams, laplace_closed_form, tilt
@@ -137,11 +138,11 @@ def test_expect_importance_matches_expect():
     with a large effective sample size."""
     g = triangle()
 
-    def f(u):
+    def f(u, ldl):
         return np.exp(-np.abs(u[:, :-1]).sum(axis=1))
 
     cc = ChainConfig(n_samples=100_000, seed=5)
-    e1 = expect(g, lambda u, s: f(u), cc)
+    e1 = expect(g, lambda u, s: f(u, None), cc)
     e2 = expect_importance(g, f, cc)
     assert abs(e1.mean - e2.mean) < 4.0 * np.hypot(e1.stderr, e2.stderr)
     assert e2.n_effective > 10_000
@@ -150,7 +151,7 @@ def test_expect_importance_matches_expect():
 def test_expect_importance_reproducible():
     g = single_edge()
 
-    def f(u):
+    def f(u, ldl):
         return np.exp(u[:, 0])
 
     cc = ChainConfig(n_samples=20_000, seed=11)
@@ -158,6 +159,80 @@ def test_expect_importance_reproducible():
     e2 = expect_importance(g, f, cc)
     assert e1.mean == e2.mean
     assert e1.stderr == e2.stderr
+
+
+def test_expect_importance_keeps_its_parameter_names():
+    """The benchmark's tracer binds the estimator's arguments by name."""
+    assert list(inspect.signature(expect_importance).parameters)[:4] == ["g", "observable", "cc", "centers"]
+
+
+def _level3_derivative_case(n_samples, seed=0):
+    g = wired_subgraph(line_tower(), 3)
+    a, b = np.full(g.n_total, 1.1), np.full(g.n_total, 0.1)
+    saddle = _tail_saddle(g, np.array([2.0, 1.0, 0.0, 0.0]))
+    obs = _derivative_martingale_observable(g, ("1", "1", "2"), a, b)
+    return g, obs, ChainConfig(n_samples=n_samples, seed=seed), [0.5 * saddle, saddle]
+
+
+def test_expect_importance_factors_each_draw_once(monkeypatch):
+    """The target density and the derivative observable share one LDL^T of
+    H_beta per chunk of draws."""
+    import hypersigma
+
+    g, obs, cc, centers = _level3_derivative_case(sampler.CHUNK_ROWS + 10)
+    rows = []
+    original = hypersigma.core._h_beta_ldl
+
+    def counting(g, u_inner):
+        rows.append(np.size(u_inner) // g.n_inner)
+        return original(g, u_inner)
+
+    for mod in (hypersigma.core, sampler):
+        monkeypatch.setattr(mod, "_h_beta_ldl", counting)
+    expect_importance(g, obs, cc, centers=centers)
+    assert rows == [sampler.CHUNK_ROWS, 10]
+
+
+def test_expect_importance_is_chunk_invariant(monkeypatch):
+    """Chunking changes only the rounding of the estimate."""
+    g, obs, cc, centers = _level3_derivative_case(5_000, seed=7)
+    default = expect_importance(g, obs, cc, centers=centers)
+    monkeypatch.setattr(sampler, "CHUNK_ROWS", 1_000)
+    small = expect_importance(g, obs, cc, centers=centers)
+    assert abs(small.mean - default.mean) <= 1e-12 * abs(default.mean)
+    assert abs(small.stderr - default.stderr) <= 1e-12 * default.stderr
+    assert abs(small.n_effective - default.n_effective) <= 1e-12 * default.n_effective
+
+
+@pytest.mark.parametrize("name", ["triangle", "level3"])
+def test_proposal_mixture_matches_dense_references(name):
+    """The stacked mixture's draws are c_k + C_k z with C_k the Cholesky factor
+    of component k's covariance, and its log density is the log-sum-exp of
+    the components' Gaussian densities from slogdet and solve, to 1e-12, also
+    far out along the saddle, where one component dominates."""
+    g = _fixture(name)
+    saddle = _tail_saddle(g, np.append(2.0, np.ones(g.n_inner - 1)))
+    centers = [np.zeros(g.n_inner), 0.5 * saddle, saddle]
+    covs = [np.linalg.inv(-_log_target_derivatives(g, c)[1]) * sampler.PROPOSAL_SIGMA**2 for c in centers]
+    draw, log_q = sampler._proposal_mixture(g, centers)
+    rng = np.random.default_rng(23)
+    z = rng.standard_normal((60, g.n_inner))
+    pick = rng.integers(0, len(centers), 60)
+    ref_u = np.array([centers[k] + np.linalg.cholesky(covs[k]) @ zi for k, zi in zip(pick, z)])
+    u = draw(z, pick)
+    assert np.abs(u - ref_u).max() <= 1e-12 * np.abs(ref_u).max()
+    far = np.outer(np.linspace(1.0, 12.0, 20), saddle) + 0.1 * rng.standard_normal((20, g.n_inner))
+    points = np.concatenate([u, far, -far])
+    comps = []
+    for c, cov in zip(centers, covs):
+        d = points - c
+        quad = np.einsum("ni,ni->n", d, np.linalg.solve(cov, d.T).T)
+        comps.append(-0.5 * quad - 0.5 * np.linalg.slogdet(cov)[1])
+    top = np.max(comps, axis=0)
+    ref = top + np.log(np.exp(np.array(comps) - top).sum(axis=0)) - math.log(len(centers))
+    # somewhere the runner-up component is below e^-10 of the top one
+    assert np.sort(np.array(comps) - top, axis=0)[-2].min() < -10.0
+    assert np.abs(log_q(points.T) - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def test_fermion_weight_reduces_to_determinant():
@@ -335,7 +410,8 @@ def test_log_target_is_the_stz_law_in_u(name):
         e = g.weights[:-1, :-1] * np.exp(u[None, :-1] - u[:-1, None])
         beta = compute_beta(g, u)
         jac = 0.5 * e - np.diag(beta)  # d beta_i / d u_k
-        diffs.append(_log_target(g, u[None, :-1])[0] - _log_stz_density(g, beta) - np.linalg.slogdet(jac)[1])
+        log_target = _log_target(g, u[None, :-1], _h_beta_ldl(g, u[None, :-1]))[0]
+        diffs.append(log_target - _log_stz_density(g, beta) - np.linalg.slogdet(jac)[1])
     assert max(diffs) - min(diffs) <= 1e-12
     assert abs(np.mean(diffs) - 0.5 * g.n_inner * math.log(2 * math.pi)) <= 1e-12
 
@@ -408,7 +484,7 @@ def _central_differences(g, u, h=1e-4):
     steps = h * np.eye(n)
 
     def f(x):
-        return _log_target(g, x[None, :])[0]
+        return _log_target(g, x[None, :], _h_beta_ldl(g, x[None, :]))[0]
 
     grad = np.array([(f(u + steps[k]) - f(u - steps[k])) / (2 * h) for k in range(n)])
     hess = np.empty((n, n))
@@ -483,7 +559,7 @@ def test_ldl_kernel_matches_dense_references(name):
         s = _draw_s(g, u[rows, :-1], z[rows])
         assert s.shape == u[rows].shape and np.all(s[..., -1] == 0.0)
         assert np.abs(s[..., :-1] - ref_s[rows]).max() <= 1e-12 * np.abs(ref_s).max()
-        entries = np.moveaxis(_h_beta_inverse_entries(g, u[rows, :-1], idx), -1, 0)
+        entries = np.moveaxis(_h_beta_inverse_entries(g, _h_beta_ldl(g, u[rows, :-1]), idx), -1, 0)
         ref = ref_g[rows][..., idx, :][..., idx].reshape(entries.shape)
         assert np.abs(entries - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -498,7 +574,12 @@ def test_field_kernels_are_finite_or_raise_at_extreme_u(name, data):
     z = np.random.default_rng(0).standard_normal(g.n_inner)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for kernel in (lambda: _avv_logdet(g, u), lambda: _log_target(g, u[None]), lambda: _draw_s(g, u, z)):
+        kernels = (
+            lambda: _avv_logdet(g, u),
+            lambda: _log_target(g, u[None], _h_beta_ldl(g, u[None])),
+            lambda: _draw_s(g, u, z),
+        )
+        for kernel in kernels:
             try:
                 out = kernel()
             except EstimationError:

@@ -29,7 +29,7 @@ from hypersigma import (
     triangle,
     wired_subgraph,
 )
-from hypersigma.core import compute_beta
+from hypersigma.core import _h_beta_ldl, compute_beta
 from hypersigma.sampler import _tail_saddle, expect_importance
 from hypersigma.scaling import ScaleParams, laplace_closed_form
 from hypersigma.supersym import _derivative_martingale_observable
@@ -218,7 +218,7 @@ def test_wick_observable_matches_the_hand_expansion(level):
     ids = gk.vertex_ids[:-1]
     for k in range(4):
         for j_ids in itertools.combinations_with_replacement(ids, k):
-            new = _derivative_martingale_observable(gk, j_ids, a, b)(u)
+            new = _derivative_martingale_observable(gk, j_ids, a, b)(u, _h_beta_ldl(gk, u[:, :-1]))
             ref = _hand_expanded_observable(gk, j_ids, a, b)(u)
             assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max(), j_ids
 
@@ -251,7 +251,7 @@ def test_wick_observable_matches_subsets_and_matchings(j_ids):
             for matching in _perfect_matchings(list(sub)):
                 ref += off * np.prod([-g_dense[:, idx[p], idx[q]] for p, q in matching], axis=0)
     ref *= np.exp(-(a[:-1] ** 2 - 1.0) @ compute_beta(gk, u).T - 0.5 * b[:-1] @ gk.weights[:-1, :-1] @ b[:-1])
-    new = _derivative_martingale_observable(gk, j_ids, a, b)(u)
+    new = _derivative_martingale_observable(gk, j_ids, a, b)(u, _h_beta_ldl(gk, u[:, :-1]))
     assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
