@@ -376,47 +376,20 @@ def berezin_pairs(x: GrassmannElement, pairs: Sequence[tuple[str, str]]) -> Gras
 # -- even-entry linear algebra ---------------------------------------------
 
 
-def _as_matrix(entries) -> list:
-    return [list(row) for row in entries]
-
-
 def even_det(m: Sequence[Sequence[GrassmannElement]]) -> GrassmannElement:
-    """Determinant of a square matrix with commuting (even) entries.
-
-    Cofactor expansion for size <= 4, LU elimination with largest-|body|
-    pivoting beyond that.
-    """
+    """Determinant of a square matrix with commuting (even) entries, by
+    cofactor expansion along the first row."""
     n = len(m)
     if n == 0:
         raise ValueError("empty matrix")
-    alg = m[0][0].algebra
     if n == 1:
         return m[0][0]
-    if n <= 4:
-        # cofactor expansion along the first row
-        result = alg.zero()
-        for j in range(n):
-            minor = [[m[r][c] for c in range(n) if c != j] for r in range(1, n)]
-            term = m[0][j] * even_det(minor)
-            result = result + (term if j % 2 == 0 else -term)
-        return result
-    a = _as_matrix(m)
-    det = alg.one()
-    for k in range(n):
-        pivot_row = max(range(k, n), key=lambda r: abs(a[r][k].body))
-        if abs(a[pivot_row][k].body) <= PRUNE_TOL:
-            return alg.zero()
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            det = -det
-        pivot = a[k][k]
-        det = det * pivot
-        inv_pivot = pivot.fn("inverse")
-        for r in range(k + 1, n):
-            factor = a[r][k] * inv_pivot
-            for c in range(k, n):
-                a[r][c] = a[r][c] - factor * a[k][c]
-    return det
+    result = m[0][0].algebra.zero()
+    for j in range(n):
+        minor = [[m[r][c] for c in range(n) if c != j] for r in range(1, n)]
+        term = m[0][j] * even_det(minor)
+        result = result + (term if j % 2 == 0 else -term)
+    return result
 
 
 def even_matrix_inverse(m: Sequence[Sequence[GrassmannElement]]) -> list:

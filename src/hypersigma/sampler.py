@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import EstimationError, _avv_logdet, _back_substitute, _edge_action
+from .core import EstimationError, _avv_logdet, _back_substitute
 from .core import _eliminate, _h_beta_ldl
 from .grassmann import GeneratorSet, GrassmannElement, as_even, berezin_pairs
 from .graphs import Graph
@@ -365,30 +365,19 @@ def psi_vectors(g: Graph, algebra: GeneratorSet):
     return psibar, psi
 
 
-def fermion_weight(g: Graph, u: np.ndarray, algebra: GeneratorSet, soul_weights=None) -> GrassmannElement:
+def fermion_weight(g: Graph, u: np.ndarray, algebra: GeneratorSet) -> GrassmannElement:
     """exp(-<psibar, A(u) psi>) over `algebra` (which must contain the psi pairs).
 
-    `u` has shape (n_total,), or (n_total, N) for a weight whose coefficients
-    are arrays over a batch of N fields.  `soul_weights`, when given, is an
-    (n x n) array of even nilpotent elements added to the real edge weights.
+    A(u) is the Laplacian of the couplings W_ij e^{u_i+u_j}, so the exponent is
+    -sum_edges W_ij e^{u_i+u_j} (psibar_i - psibar_j)(psi_i - psi_j) over
+    `g.edge_arrays`.  `u` has shape (n_total,), or (n_total, N) for a weight
+    whose coefficients are arrays over a batch of N fields.
     """
     psibar, psi = psi_vectors(g, algebra)
-    eu = np.exp(np.asarray(u, dtype=float))
-    n = g.n_total
+    u = np.asarray(u, dtype=float)
     exponent = algebra.zero()
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            w = g.weights[i, j]
-            wij = algebra.scalar(w)
-            if soul_weights is not None:
-                wij = wij + soul_weights[i][j]
-            if w == 0.0 and (soul_weights is None or wij.is_zero(0.0)):
-                continue
-            coup = wij * (eu[i] * eu[j])
-            # off-diagonal -A_ij = W_ij e^{u_i+u_j}; diagonal collects row sums
-            exponent = exponent + psibar[i] * psi[j] * coup - psibar[i] * psi[i] * coup
+    for i, j, w in zip(*g.edge_arrays):
+        exponent = exponent - (psibar[i] - psibar[j]) * (psi[i] - psi[j]) * (w * np.exp(u[i] + u[j]))
     return exponent.fn("exp")
 
 
@@ -398,7 +387,7 @@ def grassmann_reduce(g: Graph, x: GrassmannElement) -> GrassmannElement:
     return berezin_pairs(x, pairs)
 
 
-def _berezin_coefficients(g: Graph, f, u: np.ndarray, s: np.ndarray, param_algebra: GeneratorSet, soul_weights=None):
+def _berezin_coefficients(g: Graph, f, u: np.ndarray, s: np.ndarray, param_algebra: GeneratorSet):
     """Per-sample Berezin integral of a superfunction, as parameter-algebra
     coefficients.
 
@@ -410,19 +399,10 @@ def _berezin_coefficients(g: Graph, f, u: np.ndarray, s: np.ndarray, param_algeb
     it receives u and s transposed to (n_total, N), so u[i] is vertex i over the
     batch, and returns an element over the combined algebra (psi pairs first,
     then the parameter generators) whose coefficients are arrays over it.
-    With `soul_weights` (nilpotent even additions to the edge weights) the
-    weight uses them and the density ratio to the real-weight measure,
-    exp(-sum_edges soul_ij * action_ij), is folded into each row.
     """
     algebra = psi_algebra(g, param_algebra)
     psibar, psi = psi_vectors(g, algebra)
-    expo = algebra.zero()
-    if soul_weights is not None:
-        soul_weights = [[soul_weights[i][j].embed(algebra) for j in range(g.n_total)] for i in range(g.n_total)]
-        action = _edge_action(g, u, s)
-        for e, (i, j) in enumerate(zip(*g.edge_arrays[:2])):
-            expo = expo - soul_weights[i][j] * action[:, e]
-    weight = fermion_weight(g, u.T, algebra, soul_weights) * expo.fn("exp")
+    weight = fermion_weight(g, u.T, algebra)
     val = as_even(f(u.T, s.T, psibar, psi, algebra), algebra)
     scale = np.exp(-_avv_logdet(g, u[:, :-1]))
     out = np.zeros((len(u), 1 << len(param_algebra)), dtype=complex)
@@ -431,7 +411,7 @@ def _berezin_coefficients(g: Graph, f, u: np.ndarray, s: np.ndarray, param_algeb
     return out
 
 
-def super_expect(g: Graph, f, param_algebra: GeneratorSet, cc: ChainConfig, soul_weights=None) -> Estimate:
+def super_expect(g: Graph, f, param_algebra: GeneratorSet, cc: ChainConfig) -> Estimate:
     """Grassmann-valued Monte-Carlo expectation.
 
     `f(u, s, psibar, psi, algebra)` returns the superfunction value over the
@@ -444,12 +424,8 @@ def super_expect(g: Graph, f, param_algebra: GeneratorSet, cc: ChainConfig, soul
     names, without the monomials whose mean and stderr are both at most
     1e-12 max(1, |body mean|): roundoff of a coefficient that vanishes in
     exact arithmetic, so the row set does not depend on the seed.
-
-    With `soul_weights` (nilpotent even additions to the edge weights) the
-    sample stream still targets the real-weight measure and the density ratio
-    is folded into the per-sample value exactly.
     """
-    est = expect(g, lambda u, s: _berezin_coefficients(g, f, u, s, param_algebra, soul_weights), cc)
+    est = expect(g, lambda u, s: _berezin_coefficients(g, f, u, s, param_algebra), cc)
     mean: dict = {}
     stderr: dict = {}
     roundoff = 1e-12 * max(1.0, abs(est.mean[0]))

@@ -12,52 +12,34 @@ import math
 
 import numpy as np
 
-from .core import FieldConfig, _edge_action, _h_beta_inverse_entries, build_A, compute_beta, compute_theta
-from .grassmann import DomainError, GeneratorSet, GrassmannElement, GroupElement, SuperMatrix, as_even
+from .core import FieldConfig, _edge_action, _h_beta_inverse_entries, compute_beta, compute_theta
+from .grassmann import GeneratorSet, GrassmannElement, GroupElement, SuperMatrix, as_even
 from .graphs import Graph
 from .sampler import fermion_weight
 
 __all__ = ["compute_phi", "bold_rho", "super_scale_pullback", "super_jacobian"]
 
 
-def compute_phi(g: Graph, u, psibar, psi, algebra: GeneratorSet, kind: str = "phi"):
-    """Odd observables phi = e^{-u} A(u) psi on the inner vertices.
+def compute_phi(g: Graph, u, vec, algebra: GeneratorSet):
+    """Odd observables phi = e^{-u} A(u) vec on the inner vertices.
 
-    Componentwise phi_i = sum_j W_ij e^{u_j} (psi_i - psi_j); kind="phibar"
-    substitutes the psibar generators instead.  u has shape (n_total,), or
-    (n_total, N) for coefficients that are arrays over a batch of N fields.
+    Componentwise phi_i = sum_j W_ij e^{u_j} (vec_i - vec_j), one term per end
+    of each edge of `g.edge_arrays`; vec is psi for phi and psibar for phibar.
+    u has shape (n_total,), or (n_total, N) for coefficients that are arrays
+    over a batch of N fields.
     """
-    vec = psibar if kind == "phibar" else psi
-    if kind not in ("phi", "phibar"):
-        raise ValueError(f"unknown kind {kind!r}")
-    u = np.asarray(u, dtype=float)
-    a = np.moveaxis(build_A(g, u.T), (-2, -1), (0, 1))
-    emu = np.exp(-u)
-    out = []
-    for i in range(g.n_inner):
-        acc = algebra.zero()
-        for j in range(g.n_total):
-            if np.any(a[i, j] != 0.0):
-                acc = acc + vec[j] * (emu[i] * a[i, j])
-        out.append(acc)
-    return out
+    eu = np.exp(np.asarray(u, dtype=float))
+    phi = [algebra.zero() for _ in range(g.n_total)]
+    for i, j, w in zip(*g.edge_arrays):
+        diff = vec[i] - vec[j]
+        phi[i] = phi[i] + diff * (w * eu[j])
+        phi[j] = phi[j] - diff * (w * eu[i])
+    return phi[:-1]
 
 
-def bold_rho(g: Graph, cfg: FieldConfig, algebra: GeneratorSet, soul_weights=None) -> GrassmannElement:
-    """Superdensity: e^{-(1/2)<s,As>} e^{-<psibar,A psi>} prod e^{-W[cosh-1]}.
-
-    `soul_weights`, when given, adds nilpotent even elements to the edge
-    weights (entries of an n x n nested list); bodies must stay positive.
-    """
-    scalar_exponent = algebra.zero()
-    for i, j, w, act in zip(*g.edge_arrays, _edge_action(g, cfg.u, cfg.s)):
-        wij = algebra.scalar(w)
-        if soul_weights is not None:
-            wij = wij + soul_weights[i][j]
-        if complex(wij.body).real <= 0.0:
-            raise DomainError("edge weight body must be positive")
-        scalar_exponent = scalar_exponent - wij * act
-    return scalar_exponent.fn("exp") * fermion_weight(g, cfg.u, algebra, soul_weights)
+def bold_rho(g: Graph, cfg: FieldConfig, algebra: GeneratorSet) -> GrassmannElement:
+    """Superdensity: e^{-(1/2)<s,As>} e^{-<psibar,A psi>} prod e^{-W[cosh-1]}."""
+    return fermion_weight(g, cfg.u, algebra) * math.exp(-(g.edge_arrays[2] * _edge_action(g, cfg.u, cfg.s)).sum())
 
 
 def _quad_entries(v: GroupElement, i: int, algebra: GeneratorSet):
@@ -127,8 +109,8 @@ def _pairing_exponent(g: Graph, u, s, psibar, psi, algebra, a, b, chibar, chi):
     """
     beta = compute_beta(g, np.transpose(u)).T
     theta = compute_theta(g, np.transpose(u), np.transpose(s)).T
-    phi = compute_phi(g, u, psibar, psi, algebra, "phi")
-    phibar = compute_phi(g, u, psibar, psi, algebra, "phibar")
+    phi = compute_phi(g, u, psi, algebra)
+    phibar = compute_phi(g, u, psibar, algebra)
     acc = algebra.zero()
     for i in range(g.n_inner):
         ai = as_even(a[i], algebra)

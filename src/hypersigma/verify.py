@@ -309,13 +309,13 @@ def _check_marginal_lemma(spec: CheckSpec) -> dict:
 
 def _random_group_element(rng: np.random.Generator, algebra: GeneratorSet, n_vertices: int, min_margin=None) -> GroupElement:
     """Random (a, b, chibar, chi) per inner vertex; with `min_margin`, each
-    vertex's (a, b) is redrawn until 2a^2 - 2b^2 - 1 >= min_margin."""
+    vertex's (a, b) is redrawn until 4a^2 - 12b^2 - 3 >= min_margin."""
     odd_gens = [algebra.gen(nm) for nm in algebra.names]
     quads = []
     for _ in range(n_vertices - 1):
         while True:
             a, b = math.exp(rng.uniform(-0.6, 0.6)), rng.uniform(-1.0, 1.0)
-            if min_margin is None or 2.0 * a * a - 2.0 * b * b - 1.0 >= min_margin:
+            if min_margin is None or 4.0 * a * a - 12.0 * b * b - 3.0 >= min_margin:
                 break
         a, b = algebra.scalar(a), algebra.scalar(b)
         cb = algebra.zero()
@@ -529,44 +529,20 @@ def _check_ward(spec: CheckSpec) -> dict:
     return _report(spec, rows)
 
 
-def _scaled_estimate(est: Estimate, const: GrassmannElement, algebra: GeneratorSet) -> Estimate:
-    """Multiply a Grassmann-valued estimate by a constant even element.
-
-    Coefficient stderrs combine in quadrature through the bilinear expansion.
-    """
-
-    def mask_of(names):
-        return sum(1 << algebra.index[nm] for nm in names)
-
-    mean_elt = GrassmannElement(algebra, {mask_of(names): val for names, val in est.mean.items()}) * const
-    var: dict = {}
-    for names_c, c in const.subsets():
-        mask_c = mask_of(names_c)
-        for names_e, se in est.stderr.items():
-            mask_e = mask_of(names_e)
-            if mask_c & mask_e:
-                continue
-            m = mask_c | mask_e
-            var[m] = var.get(m, 0.0) + (abs(c) * se) ** 2
-    mean, stderr = {}, {}
-    for m in set(mean_elt.coeffs) | set(var):
-        names = tuple(algebra.names[k] for k in range(len(algebra)) if m >> k & 1)
-        mean[names] = mean_elt.coeffs.get(m, 0.0)
-        stderr[names] = math.sqrt(var.get(m, 0.0))
-    return Estimate(mean=mean, stderr=stderr, n_effective=est.n_effective, seed=est.seed)
-
-
 def _check_image_measure_super(spec: CheckSpec) -> dict:
     """Two-sided image-measure identity at a random group element v.
 
-    Left side: E_{mu^W}[f e^{-<pi, varpi>}].  Right side: L(a, b, chibar, chi)
-    times E_{mu^{W^a}}[pullback of f along v].  The left side's tilt is
-    T = e^{-(a^2+b^2-1) beta - b theta}, and E[T^2] is the Laplace transform at
-    a'^2 = 2a^2 - 2b^2 - 1, which diverges as a' -> 0, so the estimator's
-    variance is infinite when some inner vertex has 2a^2 - 2b^2 <= 1 and
-    huge just above.  The element is therefore drawn with
-    2a^2 - 2b^2 - 1 >= 0.3 at every inner vertex; its a entries are plain
-    numbers, so the rescaled weights W^a are too.
+    Left side: E_{mu^W}[f e^{-<pi, varpi>}].  Right side: E_{mu^{W^a}}[pullback
+    of f along v, times L(a, b, chibar, chi)], so its stderr is that of the
+    per-sample product.  The left side's tilt is
+    T = e^{-(a^2+b^2-1) beta - b theta}.  E[T^2] is the Laplace transform at
+    a'^2 = 2a^2 - 2b^2 - 1, so the estimator's variance is infinite when some
+    inner vertex has 2a^2 - 2b^2 <= 1; E[T^4], behind the variance of the
+    sample variance and so the stderr, is the transform at
+    a''^2 = 4a^2 - 12b^2 - 3.  The element is therefore drawn with
+    4a^2 - 12b^2 - 3 >= 0.3 at every inner vertex, which implies
+    2a^2 - 2b^2 - 1 > 0; its a entries are plain numbers, so the rescaled
+    weights W^a are too.
     """
     g = spec.graph or triangle()
     algebra = GeneratorSet(["cb_1", "c_1"])
@@ -585,12 +561,16 @@ def _check_image_measure_super(spec: CheckSpec) -> dict:
         weight = _pairing_exponent(g, u, s, psibar, psi, alg, a, b, chibar, chi).fn("exp")
         return weight * as_even(f(u, s, psibar, psi, alg), alg)
 
+    closed = laplace_closed_form(g, (a, b), chibar, chi, algebra)
+    pulled = super_scale_pullback(v, f)
+
+    def rhs_f(u, s, psibar, psi, alg):
+        return as_even(pulled(u, s, psibar, psi, alg), alg) * closed.embed(alg)
+
     lhs = super_expect(g, lhs_f, algebra, spec.chain)
     a_body = np.array([complex(x.body).real for x in a])
     g_scaled = Graph(g.vertex_ids, g.weights * np.outer(a_body, a_body))
-    rhs_cc = replace(spec.chain, seed=spec.chain.seed + 1)
-    rhs_raw = super_expect(g_scaled, super_scale_pullback(v, f), algebra, rhs_cc)
-    rhs = _scaled_estimate(rhs_raw, laplace_closed_form(g, (a, b), chibar, chi, algebra), algebra)
+    rhs = super_expect(g_scaled, rhs_f, algebra, replace(spec.chain, seed=spec.chain.seed + 1))
 
     rows = []
     for subset in _ordered(set(lhs.mean) | set(rhs.mean)):

@@ -17,6 +17,7 @@ from hypersigma import (
     SuperMatrix,
     berezin,
     berezin_pairs,
+    even_det,
     sdet,
 )
 
@@ -232,6 +233,28 @@ def test_sdet_multiplicative(seed):
     rhs = sdet(m1) * sdet(m2)
     diff = lhs - rhs
     assert max((abs(c) for c in diff.coeffs.values()), default=0.0) < 1e-12
+
+
+def test_even_det_at_size_five():
+    """Cofactor expansion beyond the 4x4 blocks `sdet` uses: number entries
+    against np.linalg.det, even entries through det(AB) = det A det B."""
+    algebra = GeneratorSet(["x", "y", "z", "w"])
+    rng = np.random.default_rng(6)
+    nums = rng.uniform(-1.0, 1.0, (5, 5)) + 2.0 * np.eye(5)
+    det = even_det([[algebra.scalar(x) for x in row] for row in nums])
+    assert det.body == pytest.approx(np.linalg.det(nums), rel=1e-12)
+    assert set(det.coeffs) == {0}
+    pairs = [algebra.gen(p) * algebra.gen(q) for p, q in (("x", "y"), ("z", "w"), ("x", "w"))]
+
+    def even():
+        return sum((pair * rng.uniform(-0.4, 0.4) for pair in pairs), algebra.scalar(rng.uniform(-1.0, 1.0)))
+
+    a = [[even() for _ in range(5)] for _ in range(5)]
+    b = [[even() for _ in range(5)] for _ in range(5)]
+    ab = [[sum((a[i][k] * b[k][j] for k in range(5)), algebra.zero()) for j in range(5)] for i in range(5)]
+    diff = even_det(ab) - even_det(a) * even_det(b)
+    assert max(abs(c) for mask, c in even_det(ab).coeffs.items() if mask) > 1e-2
+    assert max((abs(c) for c in diff.coeffs.values()), default=0.0) < 1e-10
 
 
 def test_group_element_inverse_round_trip():

@@ -23,7 +23,6 @@ from hypersigma import (
     rho_density,
     run_check,
     sdet,
-    single_edge,
     super_jacobian,
     super_scale_pullback,
     triangle,
@@ -33,6 +32,7 @@ from hypersigma.core import _h_beta_ldl, compute_beta
 from hypersigma.sampler import _tail_saddle, expect_importance
 from hypersigma.scaling import ScaleParams, laplace_closed_form
 from hypersigma.supersym import _derivative_martingale_observable
+from hypersigma.verify import _random_graph
 
 
 def random_fields(rng, n, scale=0.8):
@@ -52,29 +52,24 @@ def test_bold_rho_reduces_to_scalar_density():
 
 
 def test_compute_phi_matches_matrix_action():
-    """phi = e^{-u} A psi, checked coefficientwise against the dense matrix."""
+    """phi = e^{-u} A vec, checked coefficientwise against the dense matrix on
+    random graphs, for vec = psi and psibar and a batch of fields at once."""
     rng = np.random.default_rng(1)
-    g = triangle()
-    algebra = psi_algebra(g)
-    psibar, psi = psi_vectors(g, algebra)
-    u = np.concatenate([rng.standard_normal(2), [0.0]])
-    phi = compute_phi(g, u, psibar, psi, algebra, "phi")
-    a = build_A(g, u)
-    emu = np.exp(-u)
-    for i in range(g.n_inner):
-        expected = algebra.zero()
-        for j in range(g.n_total):
-            expected = expected + psi[j] * (emu[i] * a[i, j])
-        diff = phi[i] - expected
-        assert max((abs(c) for c in diff.coeffs.values()), default=0.0) < 1e-12
-
-
-def test_compute_phi_rejects_unknown_kind():
-    g = single_edge()
-    algebra = psi_algebra(g)
-    psibar, psi = psi_vectors(g, algebra)
-    with pytest.raises(ValueError):
-        compute_phi(g, np.zeros(2), psibar, psi, algebra, "other")
+    for _ in range(20):
+        g = _random_graph(rng)
+        algebra = psi_algebra(g)
+        u = np.concatenate([rng.standard_normal((g.n_inner, 5)), np.zeros((1, 5))])
+        a = build_A(g, u.T)
+        emu = np.exp(-u)
+        for vec in psi_vectors(g, algebra):
+            phi = compute_phi(g, u, vec, algebra)
+            assert len(phi) == g.n_inner
+            for i in range(g.n_inner):
+                expected = algebra.zero()
+                for j in range(g.n_total):
+                    expected = expected + vec[j] * (emu[i] * a[:, i, j])
+                diff = phi[i] - expected
+                assert max((np.abs(c).max() for c in diff.coeffs.values()), default=0.0) < 1e-12 * np.abs(a).max()
 
 
 def _group_element(algebra, entries):
