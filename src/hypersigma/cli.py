@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from .graphs import Graph, GraphError, GraphTower
-from .sampler import ChainConfig, sample_s_given_u, sample_u
+from .sampler import ChainConfig, _s_draws, _stz_u
 from .scaling import ScaleParams, laplace_closed_form
 from .verify import default_specs, list_check_ids, run_check, run_suite
 
@@ -195,14 +195,12 @@ def _cmd_sample(args) -> int:
     g = _load_graph(args.graph)
     seed = args.seed if args.seed is not None else _default_seed()
     cc = _chain_from_args(args, ChainConfig(seed=seed))
-    rng = np.random.default_rng(np.random.SeedSequence((cc.seed, 0x5)))
-    us = sample_u(g, cc)
-    ss = sample_s_given_u(g, us, rng)
+    draw_s = _s_draws(g, cc.seed)
     sink = open(args.out, "w") if args.out is not None else sys.stdout
     try:
-        for u, s in zip(us, ss):
-            rec = {"u": u.tolist(), "s": s.tolist()}
-            sink.write(json.dumps(rec) + "\n")
+        for us, ldl, _ in _stz_u(g, cc.n_samples, cc.seed):
+            for u, s in zip(us, draw_s(us, ldl)):
+                sink.write(json.dumps({"u": u.tolist(), "s": s.tolist()}) + "\n")
     finally:
         if args.out is not None:
             sink.close()

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import LOG_UNDERFLOW, _log_rho
+from .core import LOG_UNDERFLOW, _h_beta_ldl, _log_rho
 from .grassmann import GeneratorSet, GrassmannElement, berezin_pairs
 from .graphs import Graph
 from .sampler import _berezin_coefficients
@@ -70,9 +70,9 @@ def _horospherical_rows(g: Graph, n_u: int, n_t: int, u_lim: float, t_lim: float
 def expect_quadrature_1v(g: Graph, f, n_u: int = 240, n_t: int = 120, u_lim: float = 12.0, t_lim: float = 10.0):
     """E[f(u, s)] on a single-inner-vertex graph.
 
-    Like `expect`'s observables, `f(u, s)` takes (N, n_total) arrays and
-    returns a vector of length N, or an (N, k) array of k observables, for
-    which the result is the array of their k expectations.  It is called once
+    `f(u, s)`, unlike `expect`'s observables of (u, ldl), takes (N, n_total)
+    arrays of both fields and returns a vector of length N, or an (N, k) array
+    of k observables, whose k expectations are returned.  It is called once
     per u-row of the grid, on the nodes where rho does not underflow.
     """
     # each row of the transpose is summed contiguously, as a single observable is
@@ -98,9 +98,10 @@ def super_expect_quadrature_1v(
     (`_berezin_coefficients`), and the coefficients are integrated against
     rho e^{-u}/(2 pi).  Returns an element of the parameter algebra.
     """
-    coeffs = expect_quadrature_1v(
-        g, lambda u, s: _berezin_coefficients(g, f, u, s, param_algebra), n_u, n_t, u_lim, t_lim
-    )
+    def coefficients(u, s):
+        return _berezin_coefficients(g, f, u, s, param_algebra, _h_beta_ldl(g, u[:, :-1]))
+
+    coeffs = expect_quadrature_1v(g, coefficients, n_u, n_t, u_lim, t_lim)
     return GrassmannElement(param_algebra, dict(enumerate(coeffs)))
 
 

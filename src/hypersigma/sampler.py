@@ -1,20 +1,18 @@
 """Monte-Carlo machinery for the sigma-model measure.
 
-The u-marginal (with the Gaussian s-sector integrated out analytically) is
-drawn exactly and independently: on the inner vertices beta has the
-Sabot-Tarres-Zeng law, which factorises into inverse Gaussian conditionals
-along an LDL^T elimination of H_beta, and e^u = H_beta^{-1} eta (`_stz_u`).
-s is then drawn exactly from its conditional Gaussian through the same
-elimination run with computed pivots (`core._h_beta_ldl`), which also gives
-log det A_VV and the entries of A_VV^{-1}; no dense A_VV is built.  Estimates carry
-i.i.d. standard errors and are fully determined by (seed, config, graph).
-Grassmann-valued observables are reduced exactly per sample by Berezin
-integration, in one evaluation per chunk of samples (`_berezin_coefficients`),
-so only (u, s) is stochastic: their expectation is `expect` of the real vector
-of parameter-algebra coefficients.  Tail-dominated observables of u alone go
-through Hessian-matched mixture importance sampling, which factors each chunk
-of at most CHUNK_ROWS draws once and hands the observable (u, ldl): the
-fields and that LDL^T factor.
+Every estimate is one stream of chunks (u, ldl, log w) of at most CHUNK_ROWS
+draws ending in one reduction (`_reduce`), with ldl the LDL^T factor of
+H_beta(u) = e^{-u} A_VV(u) e^{-u}.  Exact draws (`expect`) have equal weights:
+on the inner vertices beta has the Sabot-Tarres-Zeng law, whose inverse
+Gaussian pivots build that factor while drawing (`_stz_u`).  Importance draws
+(`expect_importance`) are factored once each and weighted by the exact
+u-marginal.  Given u, s_V is Gaussian with covariance A_VV^{-1}: observables
+of (u, ldl) integrate it out with entries of H_beta^{-1} read from ldl or,
+where s is the subject, draw it from ldl (`_s_draws`).  Grassmann-valued
+observables are reduced exactly per sample by Berezin integration, one
+evaluation per chunk (`_berezin_coefficients`), so their expectation is
+`expect` of the real vector of parameter-algebra coefficients.  No dense A_VV
+is built, and estimates are fully determined by (seed, config, graph).
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import EstimationError, _avv_logdet, _back_substitute
-from .core import _eliminate, _h_beta_ldl
+from .core import EstimationError, _back_substitute, _eliminate, _h_beta_ldl
 from .grassmann import GeneratorSet, GrassmannElement, as_even, berezin_pairs
 from .graphs import Graph
 
@@ -170,8 +167,11 @@ def _tail_saddle(g: Graph, counts: np.ndarray) -> np.ndarray:
     raise EstimationError(f"saddle search did not converge in {SADDLE_MAX_STEPS} steps")
 
 
-def _stz_u(g: Graph, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent draws from the u-marginal, shape (n, n_total); pinned column 0.
+def _stz_u(g: Graph, n: int, seed: int, out=None):
+    """n independent draws from the u-marginal as chunks (u, ldl, log w) of
+    CHUNK_ROWS rows: u (rows, n_total), pinned column 0 (rows of `out` if
+    given), ldl = (x, What) as `core._h_beta_ldl(g, u[:, :-1])` computes it,
+    and equal log weights 0.
 
     On the inner vertices beta has the STZ law nu^{W, eta}, eta_i = W_{i delta},
     and e^u = H_beta^{-1} eta with H_beta = 2 beta - W_VV.  The LDL^T elimination
@@ -180,32 +180,36 @@ def _stz_u(g: Graph, n: int, rng: np.random.Generator) -> np.ndarray:
     by the earlier columns, x_k = 1/(2 beta_k - What_kk) is inverse Gaussian
     with mean 1/(etac_k + sum_{j>k} What_kj) and shape 1 (STZ restriction and
     conditioning lemmas).  Back-substitution gives
-    e^{u_k} = x_k (etac_k + sum_{j>k} What_kj e^{u_j}).  Rows are drawn
-    CHUNK_ROWS at a time.
+    e^{u_k} = x_k (etac_k + sum_{j>k} What_kj e^{u_j}).
     """
-    out = np.zeros((n, g.n_total))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5EED)))
     for start in range(0, n, CHUNK_ROWS):
         rows = min(CHUNK_ROWS, n - start)
         x, what, etac = _eliminate(g, rows, lambda k, r, wk: rng.wald(1.0 / (r + wk.sum(axis=0)), 1.0))
-        out[start : start + rows, :-1] = np.log(_back_substitute(g, x, what, etac)).T
-    return out
+        u = np.zeros((rows, g.n_total)) if out is None else out[start : start + rows]
+        u[:, :-1] = np.log(_back_substitute(g, x, what, etac)).T
+        yield u, (x, what), np.zeros(rows)
 
 
 def sample_u(g: Graph, cc: ChainConfig) -> np.ndarray:
     """Independent draws from the u-marginal, shape (n_samples, n_total); pinned column 0."""
-    return _stz_u(g, cc.n_samples, np.random.default_rng(np.random.SeedSequence((cc.seed, 0x5EED))))
+    out = np.zeros((cc.n_samples, g.n_total))
+    for _ in _stz_u(g, cc.n_samples, cc.seed, out):
+        pass
+    return out
 
 
-def _draw_s(g: Graph, u_inner: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _draw_s(g: Graph, u_inner: np.ndarray, z: np.ndarray, ldl) -> np.ndarray:
     """s with covariance A_VV(u)^{-1} on the inner vertices from standard
-    normals z (both shaped (..., n_inner)); the pinned column is appended as 0.
+    normals z (both shaped (..., n_inner)) and ldl = (x, What) of H_beta(u);
+    the pinned column is appended as 0.
 
-    With A_VV = e^u H_beta e^u and H_beta = L D L^T (`core._h_beta_ldl`),
+    With A_VV = e^u H_beta e^u and H_beta = L D L^T (D = diag(1/x)),
     s_V = e^{-u} L^{-T} D^{-1/2} z: y_k = sqrt(x_k) z_k + x_k sum_{j>k} What_kj y_j.
     This is the map z -> C^{-T} z of the Cholesky factor C of A_VV, up to
-    rounding.  Raises EstimationError when a pivot or s overflows.
+    rounding.  Raises EstimationError when s overflows.
     """
-    x, what = _h_beta_ldl(g, u_inner)
+    x, what = ldl
     shape = np.shape(z)
     with np.errstate(all="ignore"):
         y = _back_substitute(g, x, what, np.reshape(z, (-1, g.n_inner)).T / np.sqrt(x))
@@ -222,36 +226,51 @@ def sample_s_given_u(g: Graph, u: np.ndarray, rng: np.random.Generator) -> np.nd
     normals as one call per field in order.
     """
     u = np.asarray(u, dtype=float)
-    return _draw_s(g, u[..., :-1], rng.standard_normal(u.shape[:-1] + (g.n_inner,)))
+    return _draw_s(g, u[..., :-1], rng.standard_normal(u.shape[:-1] + (g.n_inner,)), _h_beta_ldl(g, u[..., :-1]))
+
+
+def _s_draws(g: Graph, seed: int):
+    """draw(u, ldl): s given u for one chunk, from its factor, continuing the stream of `seed`."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5)))
+    return lambda u, ldl: _draw_s(g, u[:, :-1], rng.standard_normal((len(u), g.n_inner)), ldl)
+
+
+def _with_s(g: Graph, f, seed: int):
+    """The observable (u, ldl) -> f(u, s), s drawn by `_s_draws(g, seed)`."""
+    draw = _s_draws(g, seed)
+    return lambda u, ldl: f(u, draw(u, ldl))
+
+
+def _reduce(observable, chunks, seed: int) -> Estimate:
+    """The estimate of `observable(u, ldl)` over (u, ldl, log w) chunks: the
+    self-normalised mean m = sum w v / sum w, the delta-method standard error
+    sqrt(n/(n-1) sum w^2 |v - m|^2) / sum w and Kong's effective sample size
+    (sum w)^2 / sum w^2; with equal weights, the i.i.d. mean, stderr and n.
+    An (N, k) observable gives arrays of length k."""
+    vals, lw = zip(*((np.asarray(observable(u, ldl)), log_w) for u, ldl, log_w in chunks))
+    vals, lw = np.concatenate(vals), np.concatenate(lw)
+    if not np.all(np.isfinite(np.abs(vals))):
+        raise EstimationError("observable produced NaN/Inf values")
+    n = len(vals)
+    w = np.exp(lw - lw.max())
+    total = w.sum()
+    cols = vals.T if vals.ndim == 2 else [vals]
+    mean = np.array([(w * c).sum() / total for c in cols])
+    var = [(w**2 * np.abs(c - mu) ** 2).sum() * n / (n - 1) for c, mu in zip(cols, mean)]
+    stderr = np.sqrt(var) / total
+    if vals.ndim == 1:
+        mean, stderr = mean[0], float(stderr[0])
+    ess = float(total**2 / (w**2).sum())
+    return Estimate(mean=mean, stderr=stderr, n_effective=ess, seed=seed, diagnostics={"ess": ess})
 
 
 def expect(g: Graph, observable, cc: ChainConfig) -> Estimate:
-    """Monte-Carlo mean of a real/complex observable of (u, s) over
-    independent draws, with the i.i.d. standard error.
-
-    `observable(u, s)` must accept batched arrays of shape (N, n_total) and
-    return a vector of length N, or an (N, k) array of k observables read
-    from the same draws; then mean and stderr are arrays of length k.  It is
-    called once per CHUNK_ROWS rows, so its intermediates do not grow with
-    the sample count.
-    """
-    n = cc.n_samples
-    u = sample_u(g, cc)
-    rng = np.random.default_rng(np.random.SeedSequence((cc.seed, 0x5)))
-    parts = []
-    for start in range(0, n, CHUNK_ROWS):
-        u_rows = u[start : start + CHUNK_ROWS]
-        s = _draw_s(g, u_rows[:, :-1], rng.standard_normal((len(u_rows), g.n_inner)))
-        parts.append(np.asarray(observable(u_rows, s)))
-    vals = np.concatenate(parts)
-    if not np.all(np.isfinite(np.abs(vals))):
-        raise EstimationError("observable produced NaN/Inf values")
-    cols = vals.T if vals.ndim == 2 else [vals]
-    mean = np.array([c.mean() for c in cols])
-    stderr = np.array([math.sqrt((np.abs(c - mu) ** 2).sum() / (n * (n - 1))) for c, mu in zip(cols, mean)])
-    if vals.ndim == 1:
-        mean, stderr = mean[0], float(stderr[0])
-    return Estimate(mean=mean, stderr=stderr, n_effective=float(n), seed=cc.seed)
+    """Monte-Carlo mean of a real/complex observable over exact independent
+    draws, with the i.i.d. standard error (`_reduce`).  `observable(u, ldl)`
+    gets one chunk of at most CHUNK_ROWS draws, u (N, n_total) and the factor
+    of H_beta(u) `_stz_u` built while drawing, and returns a vector of length
+    N, or an (N, k) array of k observables read from the same draws."""
+    return _reduce(observable, _stz_u(g, cc.n_samples, cc.seed), cc.seed)
 
 
 def _proposal_mixture(g: Graph, centers):
@@ -291,20 +310,14 @@ def _proposal_mixture(g: Graph, centers):
 def expect_importance(g: Graph, observable, cc: ChainConfig, centers=None) -> Estimate:
     """Self-normalized importance-sampling mean of an observable of u alone.
 
-    `observable(u, ldl)` gets an (N, n_total) array and `ldl =
-    core._h_beta_ldl(g, u[:, :-1])`, the factor the target density was read
-    from (`core._h_beta_inverse_entries` takes it as is), and returns a vector
-    of length N.  It is called once per chunk of at most CHUNK_ROWS rows.  An
-    observable of (u, s) enters through its conditional expectation given u,
-    which integrates the Gaussian s-sector out.  Proposes u from the mixture
-    of `_proposal_mixture` over the given centers (always including the
-    origin) and reweights by the exact u-marginal density.  The components'
-    covariances match the strong correlations of the marginal, and its
-    superexponential decay keeps the weights bounded, so this resolves
+    `observable(u, ldl)` is called as by `expect`, with the factor the target
+    density was read from.  Proposes u from the mixture of `_proposal_mixture`
+    over the given centers (always including the origin) and weights each draw
+    by the exact u-marginal density over the mixture's (`_reduce`).  The
+    components' covariances match the strong correlations of the marginal, and
+    its superexponential decay keeps the weights bounded, so this resolves
     tail-dominated observables (e.g. growing like e^{k u_j}) whose plain
-    Monte-Carlo mean has a far larger standard error at the same sample
-    count.  Draws are independent; the standard error uses batched ratio
-    statistics.
+    Monte-Carlo mean has a far larger standard error at the same sample count.
     """
     n = g.n_inner
     rng = np.random.default_rng(np.random.SeedSequence((cc.seed, 0x15)))
@@ -314,41 +327,15 @@ def expect_importance(g: Graph, observable, cc: ChainConfig, centers=None) -> Es
     draw, log_q = _proposal_mixture(g, all_centers)
     pick = rng.integers(0, len(all_centers), cc.n_samples)
     z0 = rng.standard_normal((cc.n_samples, n))
-    lw, vals = [], []
-    for start in range(0, cc.n_samples, CHUNK_ROWS):
-        rows = slice(start, start + CHUNK_ROWS)
-        ui = draw(z0[rows], pick[rows])
-        ldl = _h_beta_ldl(g, ui)
-        lw.append(_log_target(g, ui, ldl) - log_q(ui.T))
-        vals.append(np.asarray(observable(np.concatenate([ui, np.zeros((len(ui), 1))], axis=1), ldl)))
-    lw, vals = np.concatenate(lw), np.concatenate(vals)
-    if not np.all(np.isfinite(np.abs(vals))):
-        raise EstimationError("observable produced NaN/Inf values")
-    w = np.exp(lw - lw.max())
 
-    nb = 64
-    bs = max(cc.n_samples // nb, 1)
-    usable = (cc.n_samples // bs) * bs
-    bw = w[:usable].reshape(-1, bs).sum(axis=1)
-    bv = (w * vals)[:usable].reshape(-1, bs).sum(axis=1)
-    total_w = w[:usable].sum()
-    mean = (w * vals)[:usable].sum() / total_w
-    nb = len(bw)
-    mean_bw = bw.mean()
-    mean_bv = bv.mean()
-    var_v = np.abs(bv - mean_bv).__pow__(2).sum() / (nb * (nb - 1))
-    var_w = np.abs(bw - mean_bw).__pow__(2).sum() / (nb * (nb - 1))
-    cov = (np.conj(bv - mean_bv) * (bw - mean_bw)).sum().real / (nb * (nb - 1))
-    var_r = (var_v + np.abs(mean) ** 2 * var_w - 2.0 * (np.conj(mean) * cov).real) / mean_bw**2
-    stderr = float(np.sqrt(max(var_r, 0.0)))
-    ess = float(total_w**2 / (w[:usable] ** 2).sum())
-    return Estimate(
-        mean=mean,
-        stderr=stderr,
-        n_effective=ess,
-        seed=cc.seed,
-        diagnostics={"ess": ess},
-    )
+    def chunks():
+        for start in range(0, cc.n_samples, CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            ui = draw(z0[rows], pick[rows])
+            ldl = _h_beta_ldl(g, ui)
+            yield np.concatenate([ui, np.zeros((len(ui), 1))], axis=1), ldl, _log_target(g, ui, ldl) - log_q(ui.T)
+
+    return _reduce(observable, chunks(), cc.seed)
 
 
 def psi_algebra(g: Graph, param_algebra: GeneratorSet | None = None) -> GeneratorSet:
@@ -387,24 +374,24 @@ def grassmann_reduce(g: Graph, x: GrassmannElement) -> GrassmannElement:
     return berezin_pairs(x, pairs)
 
 
-def _berezin_coefficients(g: Graph, f, u: np.ndarray, s: np.ndarray, param_algebra: GeneratorSet):
+def _berezin_coefficients(g: Graph, f, u: np.ndarray, s: np.ndarray, param_algebra: GeneratorSet, ldl):
     """Per-sample Berezin integral of a superfunction, as parameter-algebra
     coefficients.
 
     For fields u, s of shape (N, n_total), row k of the (N, 2^len(param_algebra))
     complex result holds det A_VV(u_k)^{-1} int dpsi e^{-<psibar, A(u_k) psi>}
     f(u_k, s_k, psibar, psi, algebra), column m the coefficient of the
-    parameter monomial with bitmask m.  `f` is called once, on the whole batch
-    (`expect` hands it one chunk of at most CHUNK_ROWS samples):
-    it receives u and s transposed to (n_total, N), so u[i] is vertex i over the
-    batch, and returns an element over the combined algebra (psi pairs first,
-    then the parameter generators) whose coefficients are arrays over it.
+    parameter monomial with bitmask m; log det A_VV is read from ldl, the
+    factor of H_beta(u).  `f` is called once, on the whole batch: it receives
+    u and s transposed to (n_total, N), so u[i] is vertex i over the batch,
+    and returns an element over the combined algebra (psi pairs first, then
+    the parameter generators) whose coefficients are arrays over it.
     """
     algebra = psi_algebra(g, param_algebra)
     psibar, psi = psi_vectors(g, algebra)
     weight = fermion_weight(g, u.T, algebra)
     val = as_even(f(u.T, s.T, psibar, psi, algebra), algebra)
-    scale = np.exp(-_avv_logdet(g, u[:, :-1]))
+    scale = np.exp(np.log(ldl[0]).sum(axis=0) - 2.0 * u[:, :-1].sum(axis=1))
     out = np.zeros((len(u), 1 << len(param_algebra)), dtype=complex)
     for mask, cval in grassmann_reduce(g, weight * val).coeffs.items():
         out[:, mask >> (2 * g.n_inner)] = cval * scale
@@ -417,15 +404,17 @@ def super_expect(g: Graph, f, param_algebra: GeneratorSet, cc: ChainConfig) -> E
     `f(u, s, psibar, psi, algebra)` returns the superfunction value over the
     combined algebra (psi pairs first, then the parameter generators); u and s
     have shape (n_total, N) and the coefficients of the value are arrays over
-    the N samples of one chunk (`_berezin_coefficients`).  The psi sector is integrated out
-    exactly per sample, so the estimate is `expect` of the vector of
-    parameter-algebra coefficients; only the (u, s) average is stochastic.
+    the N samples of one chunk (`_berezin_coefficients`), s drawn from its
+    factor.  The psi sector is integrated out exactly per sample, so the
+    estimate is `expect` of the vector of parameter-algebra coefficients;
+    only the (u, s) average is stochastic.
     The returned mean/stderr are dicts keyed by tuples of parameter-generator
     names, without the monomials whose mean and stderr are both at most
     1e-12 max(1, |body mean|): roundoff of a coefficient that vanishes in
     exact arithmetic, so the row set does not depend on the seed.
     """
-    est = expect(g, lambda u, s: _berezin_coefficients(g, f, u, s, param_algebra), cc)
+    draw = _s_draws(g, cc.seed)
+    est = expect(g, lambda u, ldl: _berezin_coefficients(g, f, u, draw(u, ldl), param_algebra, ldl), cc)
     mean: dict = {}
     stderr: dict = {}
     roundoff = 1e-12 * max(1.0, abs(est.mean[0]))

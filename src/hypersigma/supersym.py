@@ -1,7 +1,7 @@
 """Full superspace sector: the superdensity, the odd observables phi and
 phibar, the super scaling transform and its Jacobian, the pairing exponent
--<pi, varpi> of the Grassmann-Laplace transform, and the vectorized
-observable of the derivative-martingale checks.
+-<pi, varpi> of the Grassmann-Laplace transform, and the observables of u
+and the LDL^T factor of H_beta that integrate s out of the tilted checks.
 
 The checks that estimate these objects and the report schema live in `verify`.
 """
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import FieldConfig, _edge_action, _h_beta_inverse_entries, compute_beta, compute_theta
+from .core import EstimationError, FieldConfig, _edge_action, _h_beta_inverse_entries, compute_beta, compute_theta
 from .grassmann import GeneratorSet, GrassmannElement, GroupElement, SuperMatrix, as_even
 from .graphs import Graph
 from .sampler import fermion_weight
@@ -135,30 +135,42 @@ def _wick(mean, cov, pos):
     return out
 
 
-def _derivative_martingale_observable(gk: Graph, j_ids, tilt_a, tilt_b):
-    """Vectorized conditional expectation of M_{j_1..j_k} times the tilt.
-
-    The Gaussian s-sector is integrated out analytically per u-sample
-    (conditional mean -e^{-u}b, covariance A_VV^{-1}), which removes all
-    s-variance from the estimator, so the observable takes u alone, with the
-    LDL^T factor of H_beta(u) (as `expect_importance` hands it); j_ids is a
-    multiset of vertex ids.  The factors e^{u_j}(1 + i s_j) are then Gaussian
-    with mean e^{u_j} - i b_j and covariance -e^{u_j + u_j'} A_VV^{-1}_jj' =
-    -(H_beta^{-1})_jj', read from that factor, whose product `_wick` expands
-    over the distinct vertices of j, repeats included.
-    """
-    cols = sorted({gk.index_of(v) for v in j_ids})
-    pos = tuple(cols.index(gk.index_of(v)) for v in j_ids)
-    a = np.asarray(tilt_a, dtype=float)
-    b = np.asarray(tilt_b, dtype=float)
-    # tilt times the Gaussian normalization: the b^2 beta terms cancel,
-    # leaving exp(-<(a^2-1)_V, beta> - (1/2) sum_{i != j in V} W_ij b_i b_j)
+def _tilt_kernel(gk: Graph, tilt_a, tilt_b, cols, reduce):
+    """The observable (u, ldl) -> reduce(weight, mean, cov) = E[F tilt | u] for
+    F of X_j = e^{u_j}(1 + i s_j), j in cols, and the tilt e^{-<(a^2+b^2-1)_V,
+    beta> - <b_V, theta>}: s_V given u is Gaussian (covariance A_VV^{-1}), so
+    the weight is exp(-<(a^2-1)_V, beta> - (1/2) b_V^T W_VV b_V) and X has mean
+    e^{u_j} - i b_j and covariance -(H_beta^{-1})_jj' from ldl, the factor of
+    H_beta(u).  Raises EstimationError when the values overflow."""
+    a, b = np.asarray(tilt_a, dtype=float), np.asarray(tilt_b, dtype=float)
     const = -0.5 * b[:-1] @ gk.weights[:-1, :-1] @ b[:-1]
 
     def obs(u, ldl):
-        weight = np.exp(-(a[:-1] ** 2 - 1.0) @ compute_beta(gk, u).T + const)
-        mean = np.exp(u[:, cols]).T - 1j * b[cols, None]
-        cov = -_h_beta_inverse_entries(gk, ldl, cols)
-        return _wick(mean, cov, pos) * weight
+        with np.errstate(all="ignore"):
+            weight = np.exp(-(a[:-1] ** 2 - 1.0) @ compute_beta(gk, u).T + const)
+            mean = np.exp(u[:, cols]).T - 1j * b[cols, None]
+            out = reduce(weight, mean, -_h_beta_inverse_entries(gk, ldl, cols))
+        if not np.isfinite(out).all():
+            raise EstimationError("observable overflowed")
+        return out
 
     return obs
+
+
+def _generating_observable(gk: Graph, alpha, tilt_a, tilt_b):
+    """E[e^{<alpha, e^u(1 + is)>} tilt | u] = weight exp(<alpha_V, mean> +
+    (1/2) alpha_V^T cov alpha_V + alpha_delta), alpha over gk's vertices."""
+    al = np.asarray(alpha, dtype=float)[:-1]
+
+    def reduce(weight, mean, cov):
+        return weight * np.exp(al @ mean + 0.5 * np.einsum("p,pqn,q->n", al, cov, al) + alpha[-1])
+
+    return _tilt_kernel(gk, tilt_a, tilt_b, list(range(gk.n_inner)), reduce)
+
+
+def _derivative_martingale_observable(gk: Graph, j_ids, tilt_a, tilt_b):
+    """E[M_{j_1..j_k} tilt | u] = E[prod_p X_{j_p} tilt | u] by `_wick`, for a
+    multiset j_ids of vertex ids; the empty one gives the weight, E[tilt | u]."""
+    cols = sorted({gk.index_of(v) for v in j_ids})
+    pos = tuple(cols.index(gk.index_of(v)) for v in j_ids)
+    return _tilt_kernel(gk, tilt_a, tilt_b, cols, lambda weight, mean, cov: _wick(mean, cov, pos) * weight)

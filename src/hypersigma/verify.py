@@ -40,6 +40,7 @@ from .sampler import (
     ChainConfig,
     Estimate,
     _tail_saddle,
+    _with_s,
     expect,
     expect_importance,
     grassmann_reduce,
@@ -50,6 +51,7 @@ from .sampler import (
 from .scaling import ScaleParams, laplace_closed_form, rescale_weights, theta_conditional_covariance, tilt
 from .supersym import (
     _derivative_martingale_observable,
+    _generating_observable,
     _pairing_exponent,
     bold_rho,
     super_jacobian,
@@ -413,7 +415,7 @@ def _check_laplace_real(spec: CheckSpec) -> dict:
     g = spec.graph or single_edge()
     p = _spec_scale_params(spec, g)
     ref = laplace_closed_form(g, p)
-    est = expect(g, partial(tilt, g, p), spec.chain)
+    est = expect(g, _derivative_martingale_observable(g, (), p.a, p.b), spec.chain)
     rows = [_row(("mc",), est.mean, est.stderr, ref)] + _quadrature_rows(spec, g, p, "quadrature_residual")
     return _report(spec, rows, {"stderr_max": float(est.stderr)})
 
@@ -451,8 +453,8 @@ def _check_radon_nikodym(spec: CheckSpec) -> dict:
 
         cc_l = replace(spec.chain, seed=spec.chain.seed + 2 * k)
         cc_r = replace(spec.chain, seed=spec.chain.seed + 2 * k + 1)
-        el = expect(g, lhs_obs, cc_l)
-        er = expect(g2, rhs_obs, cc_r)
+        el = expect(g, _with_s(g, lhs_obs, cc_l.seed), cc_l)
+        er = expect(g2, _with_s(g2, rhs_obs, cc_r.seed), cc_r)
         se = math.hypot(el.stderr, lap * er.stderr)
         rows.append(_row((f"bump_{k}",), el.mean, se, lap * er.mean))
     return _report(spec, rows)
@@ -543,6 +545,10 @@ def _check_image_measure_super(spec: CheckSpec) -> dict:
     4a^2 - 12b^2 - 3 >= 0.3 at every inner vertex, which implies
     2a^2 - 2b^2 - 1 > 0; its a entries are plain numbers, so the rescaled
     weights W^a are too.
+
+    Per sample, each side's (cb_1, c_1) coefficient is its body times one
+    constant, so only the body is a statistical row and the two sides' ratios
+    of that coefficient to the body must agree within the spec's tolerance.
     """
     g = spec.graph or triangle()
     algebra = GeneratorSet(["cb_1", "c_1"])
@@ -572,11 +578,9 @@ def _check_image_measure_super(spec: CheckSpec) -> dict:
     g_scaled = Graph(g.vertex_ids, g.weights * np.outer(a_body, a_body))
     rhs = super_expect(g_scaled, rhs_f, algebra, replace(spec.chain, seed=spec.chain.seed + 1))
 
-    rows = []
-    for subset in _ordered(set(lhs.mean) | set(rhs.mean)):
-        se = math.hypot(lhs.stderr.get(subset, 0.0), rhs.stderr.get(subset, 0.0))
-        rows.append(_row(subset, lhs.mean.get(subset, 0.0), se, rhs.mean.get(subset, 0.0)))
-    return _report(spec, rows)
+    ratio = [side.mean.get(("cb_1", "c_1"), 0.0) / side.mean[()] for side in (lhs, rhs)]
+    body = _row((), lhs.mean[()], math.hypot(lhs.stderr[()], rhs.stderr[()]), rhs.mean[()])
+    return _report(spec, [body, _det_row("cb_1_c_1_over_body_residual", abs(ratio[0] - ratio[1]), spec.tolerance)])
 
 
 # -- tower checks ------------------------------------------------------------
@@ -627,7 +631,7 @@ def _check_consistency(spec: CheckSpec) -> dict:
             theta = compute_theta(gk, u, s)[:, idx]
             return np.concatenate([beta, theta, beta**2, theta**2], axis=1)
 
-        return expect(gk, obs_pack, cck)
+        return expect(gk, _with_s(gk, obs_pack, cck.seed), cck)
 
     m_n = moments(g_n, spec.chain)
     m_n1 = moments(g_n1, replace(spec.chain, seed=spec.chain.seed + 1))
@@ -653,12 +657,8 @@ def _check_martingale_generating(spec: CheckSpec) -> dict:
         gk = wired_subgraph(tower, k)
         alpha_k = extend_alpha(tower, alpha, k)
         p = ScaleParams(*_tilt_arrays(gk, tilts))
-
-        def obs(u, s):
-            return np.exp((np.exp(u) * (1.0 + 1j * s)) @ alpha_k) * tilt(gk, p, u, s)
-
         ref = laplace_closed_form(gk, p) * np.exp(alpha_k @ (p.a - 1j * p.b))
-        return expect(gk, obs, chain), ref
+        return expect(gk, _generating_observable(gk, alpha_k, p.a, p.b), chain), ref
 
     rows, residual = _level_rows(spec, n, estimate)
     return _report(spec, rows, {"closed_form_residual": residual}, exact=residual <= spec.tolerance)

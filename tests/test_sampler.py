@@ -2,9 +2,11 @@
 sampling, and Grassmann-valued estimates."""
 
 import inspect
+import json
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,12 +34,15 @@ from hypersigma import (
     wired_subgraph,
 )
 from hypersigma import sampler
+from hypersigma.cli import main
 from hypersigma.core import _avv_logdet, _h_beta_inverse_entries, _h_beta_ldl, build_A, compute_beta, compute_theta
-from hypersigma.sampler import _draw_s, _log_target, _log_target_derivatives, _tail_saddle
+from hypersigma.sampler import _draw_s, _log_target, _log_target_derivatives, _reduce, _tail_saddle, _with_s
 from hypersigma.quadrature import expect_quadrature_1v
 from hypersigma.scaling import ScaleParams, laplace_closed_form, tilt
-from hypersigma.supersym import _derivative_martingale_observable, _pairing_exponent
+from hypersigma.supersym import _derivative_martingale_observable, _generating_observable, _pairing_exponent
 from hypersigma.verify import _random_graph
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_chain_config_validation():
@@ -92,7 +97,7 @@ def test_expect_against_quadrature():
         return np.exp(-(u[:, 0] ** 2) - 0.5 * s[:, 0] ** 2)
 
     ref = expect_quadrature_1v(g, f)
-    est = expect(g, f, ChainConfig(n_samples=200_000, seed=0))
+    est = expect(g, _with_s(g, f, 0), ChainConfig(n_samples=200_000, seed=0))
     assert abs(est.mean - ref) < 4.0 * est.stderr
     assert est.stderr < 2e-3
 
@@ -100,7 +105,7 @@ def test_expect_against_quadrature():
 def test_expect_rejects_nan_observable():
     g = single_edge()
 
-    def bad(u, s):
+    def bad(u, ldl):
         out = np.zeros(len(u))
         out[0] = np.nan
         return out
@@ -125,9 +130,9 @@ def test_expect_vector_observable_matches_columns():
     g = triangle()
     cc = ChainConfig(n_samples=2_000, seed=8)
     cols = [lambda u, s: np.exp(-(u[:, 0] ** 2)), lambda u, s: s[:, 1] ** 2, lambda u, s: u[:, 0] * s[:, 1]]
-    est = expect(g, lambda u, s: np.stack([f(u, s) for f in cols], axis=1), cc)
+    est = expect(g, _with_s(g, lambda u, s: np.stack([f(u, s) for f in cols], axis=1), cc.seed), cc)
     assert est.mean.shape == est.stderr.shape == (3,)
-    singles = [expect(g, f, cc) for f in cols]
+    singles = [expect(g, _with_s(g, f, cc.seed), cc) for f in cols]
     for k, one in enumerate(singles):
         assert est.mean[k] == one.mean
         assert est.stderr[k] == one.stderr
@@ -143,7 +148,7 @@ def test_expect_importance_matches_expect():
         return np.exp(-np.abs(u[:, :-1]).sum(axis=1))
 
     cc = ChainConfig(n_samples=100_000, seed=5)
-    e1 = expect(g, lambda u, s: f(u, None), cc)
+    e1 = expect(g, f, cc)
     e2 = expect_importance(g, f, cc)
     assert abs(e1.mean - e2.mean) < 4.0 * np.hypot(e1.stderr, e2.stderr)
     assert e2.n_effective > 10_000
@@ -160,6 +165,11 @@ def test_expect_importance_reproducible():
     e2 = expect_importance(g, f, cc)
     assert e1.mean == e2.mean
     assert e1.stderr == e2.stderr
+
+
+def test_expect_keeps_its_parameter_names():
+    """The benchmark's tracer binds g, observable and cc by name."""
+    assert list(inspect.signature(expect).parameters) == ["g", "observable", "cc"]
 
 
 def test_expect_importance_keeps_its_parameter_names():
@@ -301,7 +311,7 @@ def test_berezin_coefficients_match_per_sample_reduction():
     alg = psi_algebra(g, params)
     psibar, psi = psi_vectors(g, alg)
     u, s = _repeating_fields(g, np.random.default_rng(4))
-    out = sampler._berezin_coefficients(g, _odd_pair_superfunction, u, s, params)
+    out = sampler._berezin_coefficients(g, _odd_pair_superfunction, u, s, params, _h_beta_ldl(g, u[:, :-1]))
     assert out.shape == (6, 4)
     for k in range(6):
         weight = fermion_weight(g, u[k], alg)
@@ -419,7 +429,8 @@ def test_expect_stderr_holds_on_a_wide_level():
     assert ref == pytest.approx(math.exp(-0.2) / 1.2, rel=1e-12)
     zs = []
     for seed in range(10):
-        est = expect(g, lambda u, s: tilt(g, p, u, s), ChainConfig(76800, 1000, 1, 256, 0.8, seed))
+        obs = _with_s(g, lambda u, s: tilt(g, p, u, s), seed)
+        est = expect(g, obs, ChainConfig(76800, 1000, 1, 256, 0.8, seed))
         zs.append((est.mean - ref) / est.stderr)
     assert math.sqrt(np.mean(np.square(zs))) <= 1.6
 
@@ -431,9 +442,10 @@ def test_expect_hands_the_observable_one_chunk_at_a_time():
     n = 2 * sampler.CHUNK_ROWS + 7
     rows = []
 
-    def f(u, s):
+    def f(u, ldl):
         rows.append(len(u))
-        return u[:, 0] * s[:, 0]
+        assert ldl[0].shape == (g.n_inner, len(u))
+        return u[:, 0]
 
     expect(g, f, ChainConfig(n_samples=n, seed=0))
     assert max(rows) <= sampler.CHUNK_ROWS
@@ -441,17 +453,21 @@ def test_expect_hands_the_observable_one_chunk_at_a_time():
     assert sum(rows) == n
 
 
-def test_expect_reads_the_draws_of_sample_u():
-    """Chunk by chunk, expect sees the rows of sample_u with the s that one
-    sample_s_given_u call draws for them, as `hypersigma sample` streams."""
-    g = triangle()
+def test_expect_reads_the_draws_of_sample_u(tmp_path):
+    """Chunk by chunk, expect sees the rows of sample_u, and an observable of
+    (u, s) the s that `hypersigma sample` streams for them."""
+    path = FIXTURE_DIR / "triangle.json"
+    g = Graph.load(str(path))
     cc = ChainConfig(n_samples=sampler.CHUNK_ROWS + 100, seed=3)
     seen = []
-    expect(g, lambda u, s: seen.append((u.copy(), s.copy())) or u[:, 0], cc)
-    u = sample_u(g, cc)
-    s = sample_s_given_u(g, u, np.random.default_rng(np.random.SeedSequence((cc.seed, 0x5))))
-    assert np.array_equal(np.concatenate([x for x, _ in seen]), u)
-    assert np.array_equal(np.concatenate([y for _, y in seen]), s)
+    expect(g, _with_s(g, lambda u, s: seen.append((u.copy(), s.copy())) or u[:, 0], cc.seed), cc)
+    out = tmp_path / "draws.jsonl"
+    assert main(["sample", "--graph", str(path), "--samples", str(cc.n_samples), "--seed", "3", "--out", str(out)]) == 0
+    streamed = [json.loads(line) for line in out.read_text().splitlines()]
+    u = np.concatenate([x for x, _ in seen])
+    assert np.array_equal(u, sample_u(g, cc))
+    assert np.array_equal(u, [rec["u"] for rec in streamed])
+    assert np.array_equal(np.concatenate([y for _, y in seen]), [rec["s"] for rec in streamed])
 
 
 def _central_differences(g, u, h=1e-4):
@@ -532,7 +548,7 @@ def test_ldl_kernel_matches_dense_references(name):
         logdet = _avv_logdet(g, u[rows, :-1])
         assert np.shape(logdet) == np.shape(ref_logdet[rows])
         assert np.abs(logdet - ref_logdet[rows]).max() <= 1e-12 * max(1.0, np.abs(ref_logdet).max())
-        s = _draw_s(g, u[rows, :-1], z[rows])
+        s = _draw_s(g, u[rows, :-1], z[rows], _h_beta_ldl(g, u[rows, :-1]))
         assert s.shape == u[rows].shape and np.all(s[..., -1] == 0.0)
         assert np.abs(s[..., :-1] - ref_s[rows]).max() <= 1e-12 * np.abs(ref_s).max()
         entries = np.moveaxis(_h_beta_inverse_entries(g, _h_beta_ldl(g, u[rows, :-1]), idx), -1, 0)
@@ -543,18 +559,26 @@ def test_ldl_kernel_matches_dense_references(name):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(FIXTURES), st.data())
 def test_field_kernels_are_finite_or_raise_at_extreme_u(name, data):
-    """At |u| up to 700 the log det, the log target and the s-draw return
-    finite values or raise EstimationError, without a RuntimeWarning."""
+    """At |u| up to 700 the log det, the log target, the s-draw and the tilt,
+    generating and derivative observables of the conditional-Gaussian kernel
+    return finite values or raise EstimationError, without a RuntimeWarning."""
     g = _fixture(name)
     u = np.array(data.draw(st.lists(st.floats(-700.0, 700.0), min_size=g.n_inner, max_size=g.n_inner)))
     z = np.random.default_rng(0).standard_normal(g.n_inner)
+    a, b, alpha = np.full(g.n_total, 1.1), np.full(g.n_total, 0.1), np.full(g.n_total, -0.5)
+    j_ids = (g.vertex_ids[0],) * 2 + (g.vertex_ids[-2],)
+    observables = (
+        _derivative_martingale_observable(g, (), a, b),
+        _generating_observable(g, alpha, a, b),
+        _derivative_martingale_observable(g, j_ids, a, b),
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         kernels = (
             lambda: _avv_logdet(g, u),
             lambda: _log_target(g, u[None], _h_beta_ldl(g, u[None])),
-            lambda: _draw_s(g, u, z),
-        )
+            lambda: _draw_s(g, u, z, _h_beta_ldl(g, u)),
+        ) + tuple(lambda obs=obs: obs(np.append(u, 0.0)[None], _h_beta_ldl(g, u[None])) for obs in observables)
         for kernel in kernels:
             try:
                 out = kernel()
@@ -583,7 +607,7 @@ def test_estimators_build_no_dense_A_VV(monkeypatch):
         monkeypatch.setattr(np.linalg, fname, recording)
     for g in (wired_subgraph(line_tower(), 3), wired_subgraph(line_tower(32), 31)):
         p = ScaleParams(np.append(np.full(g.n_inner, 1.1), 1.0), np.append(np.full(g.n_inner, 0.1), 0.0))
-        expect(g, lambda u, s: tilt(g, p, u, s), ChainConfig(n_samples=sampler.CHUNK_ROWS + 10, seed=0))
+        expect(g, _with_s(g, lambda u, s: tilt(g, p, u, s), 0), ChainConfig(n_samples=sampler.CHUNK_ROWS + 10, seed=0))
     g = wired_subgraph(line_tower(), 3)
     a, b = np.full(g.n_total, 1.1), np.full(g.n_total, 0.1)
     saddle = _tail_saddle(g, np.array([2.0, 1.0, 0.0, 0.0]))
@@ -598,3 +622,61 @@ def test_estimators_build_no_dense_A_VV(monkeypatch):
 
     super_expect(g, f, params, ChainConfig(n_samples=200, seed=0))
     assert calls == []
+
+
+def test_expect_and_super_expect_factor_no_chunk(monkeypatch):
+    """expect hands its observables the factor the sampler built, and
+    super_expect reads s and log det A_VV from it: neither calls
+    _h_beta_ldl or _avv_logdet."""
+    calls = []
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "hypersigma":
+            for fname in ("_h_beta_ldl", "_avv_logdet"):
+                if hasattr(mod, fname):
+                    monkeypatch.setattr(mod, fname, lambda *args, fname=fname: calls.append(fname))
+    g = wired_subgraph(line_tower(), 3)
+    a, b = np.append(np.full(g.n_inner, 1.1), 1.0), np.append(np.full(g.n_inner, 0.1), 0.0)
+    cc = ChainConfig(n_samples=sampler.CHUNK_ROWS + 10, seed=0)
+    expect(g, _with_s(g, lambda u, s: tilt(g, ScaleParams(a, b), u, s), 0), cc)
+    expect(g, _generating_observable(g, np.full(g.n_total, -0.3), a, b), cc)
+    expect(g, _derivative_martingale_observable(g, ("1", "2"), a, b), cc)
+    super_expect(g, lambda u, s, psibar, psi, alg: alg.scalar(np.exp(-(u[0] ** 2))), GeneratorSet([]), cc)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", KERNEL_GRAPHS + ["level31"])
+def test_expect_hands_the_factor_of_its_draws(name):
+    """The factor expect hands its observable is that of H_beta at the drawn
+    u, entry by entry to 1e-12 relative."""
+    g = wired_subgraph(line_tower(32), 31) if name == "level31" else _kernel_graph(name)
+    worst = []
+
+    def record(u, ldl):
+        for got, ref in zip(ldl, _h_beta_ldl(g, u[:, :-1])):
+            worst.append((np.abs(got - ref) / np.abs(ref)).max(initial=0.0))
+        return u[:, 0]
+
+    expect(g, record, ChainConfig(n_samples=sampler.CHUNK_ROWS + 50, seed=1))
+    assert len(worst) == 4 and max(worst) <= 1e-12
+
+
+def test_reduce_with_equal_weights_is_the_iid_estimate():
+    """With equal weights the shared reduction gives the i.i.d. mean bit for
+    bit, the i.i.d. standard error to 1e-12 and n_effective = n, for real,
+    complex and (N, k) observables over several chunks."""
+    rng = np.random.default_rng(5)
+    n = 3 * sampler.CHUNK_ROWS + 17
+    for vals in (
+        rng.standard_normal(n),
+        rng.standard_normal(n) + 1j * rng.standard_exponential(n),
+        rng.standard_normal((n, 3)) ** 3,
+    ):
+        parts = [vals[k : k + sampler.CHUNK_ROWS] for k in range(0, n, sampler.CHUNK_ROWS)]
+        est = _reduce(lambda v, ldl: v, ((v, None, np.zeros(len(v))) for v in parts), 0)
+        cols = vals.T if vals.ndim == 2 else [vals]
+        for k, c in enumerate(cols):
+            mean, stderr = (est.mean[k], est.stderr[k]) if vals.ndim == 2 else (est.mean, est.stderr)
+            assert mean == c.mean()
+            iid = math.sqrt((np.abs(c - c.mean()) ** 2).sum() / (n * (n - 1)))
+            assert abs(stderr - iid) <= 1e-12 * iid
+        assert est.n_effective == n

@@ -16,13 +16,18 @@ from hypersigma import (
     bold_rho,
     build_A,
     compute_phi,
+    expect,
+    extend_alpha,
     grassmann_reduce,
     line_tower,
     psi_algebra,
     psi_vectors,
     rho_density,
     run_check,
+    sample_s_given_u,
+    sample_u,
     sdet,
+    single_edge,
     super_jacobian,
     super_scale_pullback,
     triangle,
@@ -30,9 +35,9 @@ from hypersigma import (
 )
 from hypersigma.core import _h_beta_ldl, compute_beta
 from hypersigma.sampler import _tail_saddle, expect_importance
-from hypersigma.scaling import ScaleParams, laplace_closed_form
-from hypersigma.supersym import _derivative_martingale_observable
-from hypersigma.verify import _random_graph
+from hypersigma.scaling import ScaleParams, laplace_closed_form, tilt
+from hypersigma.supersym import _derivative_martingale_observable, _generating_observable
+from hypersigma.verify import _random_graph, _tilt_arrays
 
 
 def random_fields(rng, n, scale=0.8):
@@ -263,6 +268,36 @@ def test_four_index_derivative_martingale_matches_closed_form():
     ref = laplace_closed_form(gk, ScaleParams(a, b)) * np.prod(a[idx] - 1j * b[idx])
     assert abs(est.mean - ref) <= 4.0 * est.stderr
     assert est.stderr <= 0.2 * abs(ref)
+
+
+def _generating_case(level):
+    """The martingale-generating check's alpha and tilt on a wired level."""
+    tower = line_tower()
+    gk = wired_subgraph(tower, level)
+    alpha = extend_alpha(tower, {"1": -0.7, "3": -0.4}, level)
+    return gk, alpha, ScaleParams(*_tilt_arrays(gk, {"1": (1.2, 0.3), "2": (0.9, -0.2)}))
+
+
+@pytest.mark.parametrize("case, ratio", [("laplace", 2.0), ("generating1", 5.0), ("generating2", 5.0)])
+def test_integrating_s_out_cuts_the_variance(case, ratio):
+    """The conditional-Gaussian observables of laplace-real and
+    martingale-generating agree with the average of their (u, s) forms over the
+    same draws (u from sample_u, s from sample_s_given_u) within 4 combined
+    stderr, with a variance at least `ratio` times lower."""
+    if case == "laplace":
+        gk, alpha, p = single_edge(), np.zeros(2), ScaleParams(np.array([1.2, 1.0]), np.array([0.3, 0.0]))
+        obs = _derivative_martingale_observable(gk, (), p.a, p.b)
+    else:
+        gk, alpha, p = _generating_case(int(case[-1]))
+        obs = _generating_observable(gk, alpha, p.a, p.b)
+    cc = ChainConfig(n_samples=20_000, seed=7)
+    est = expect(gk, obs, cc)
+    u = sample_u(gk, cc)
+    s = sample_s_given_u(gk, u, np.random.default_rng(cc.seed))
+    vals = np.exp((np.exp(u) * (1.0 + 1j * s)) @ alpha) * tilt(gk, p, u, s)
+    ref_se = np.std(vals, ddof=1) / math.sqrt(len(vals))
+    assert abs(est.mean - vals.mean()) <= 4.0 * math.hypot(est.stderr, ref_se)
+    assert ref_se**2 >= ratio * est.stderr**2
 
 
 def test_consistency_runs_each_level_chain_once(monkeypatch):
