@@ -307,25 +307,29 @@ def _proposal_mixture(g: Graph, centers):
     return draw, log_q
 
 
-def expect_importance(g: Graph, observable, cc: ChainConfig, centers=None) -> Estimate:
+def expect_importance(g: Graph, observable, cc: ChainConfig, counts=None) -> Estimate:
     """Self-normalized importance-sampling mean of an observable of u alone.
 
     `observable(u, ldl)` is called as by `expect`, with the factor the target
-    density was read from.  Proposes u from the mixture of `_proposal_mixture`
-    over the given centers (always including the origin) and weights each draw
-    by the exact u-marginal density over the mixture's (`_reduce`).  The
-    components' covariances match the strong correlations of the marginal, and
-    its superexponential decay keeps the weights bounded, so this resolves
-    tail-dominated observables (e.g. growing like e^{k u_j}) whose plain
+    density was read from.  `counts` holds the growth exponents k of its
+    columns (each grows like e^{<k, u>}), one vector per column or a single
+    one.  Proposes u from the mixture of `_proposal_mixture` centred at the
+    origin and at 1/2 and 1 times the saddle (`_tail_saddle`) of each nonzero
+    k, and weights each draw by the exact u-marginal density over the
+    mixture's (`_reduce`).  The components' covariances match the strong
+    correlations of the marginal, and its superexponential decay keeps the
+    weights bounded, so this resolves tail-dominated observables whose plain
     Monte-Carlo mean has a far larger standard error at the same sample count.
     """
     n = g.n_inner
     rng = np.random.default_rng(np.random.SeedSequence((cc.seed, 0x15)))
-    all_centers = [np.zeros(n)]
-    if centers is not None:
-        all_centers += [np.asarray(c, dtype=float) for c in centers]
-    draw, log_q = _proposal_mixture(g, all_centers)
-    pick = rng.integers(0, len(all_centers), cc.n_samples)
+    centers = [np.zeros(n)]
+    for k in np.atleast_2d(np.asarray([] if counts is None else counts, dtype=float)):
+        if k.any():
+            saddle = _tail_saddle(g, k)
+            centers += [0.5 * saddle, saddle]
+    draw, log_q = _proposal_mixture(g, centers)
+    pick = rng.integers(0, len(centers), cc.n_samples)
     z0 = rng.standard_normal((cc.n_samples, n))
 
     def chunks():
@@ -385,16 +389,21 @@ def _berezin_coefficients(g: Graph, f, u: np.ndarray, s: np.ndarray, param_algeb
     factor of H_beta(u).  `f` is called once, on the whole batch: it receives
     u and s transposed to (n_total, N), so u[i] is vertex i over the batch,
     and returns an element over the combined algebra (psi pairs first, then
-    the parameter generators) whose coefficients are arrays over it.
+    the parameter generators) whose coefficients are arrays over it.  Raises
+    EstimationError when a coefficient of the weight, the value or the result
+    is not finite, also one that the product drops.
     """
     algebra = psi_algebra(g, param_algebra)
     psibar, psi = psi_vectors(g, algebra)
-    weight = fermion_weight(g, u.T, algebra)
-    val = as_even(f(u.T, s.T, psibar, psi, algebra), algebra)
-    scale = np.exp(np.log(ldl[0]).sum(axis=0) - 2.0 * u[:, :-1].sum(axis=1))
     out = np.zeros((len(u), 1 << len(param_algebra)), dtype=complex)
-    for mask, cval in grassmann_reduce(g, weight * val).coeffs.items():
-        out[:, mask >> (2 * g.n_inner)] = cval * scale
+    with np.errstate(all="ignore"):
+        weight = fermion_weight(g, u.T, algebra)
+        val = as_even(f(u.T, s.T, psibar, psi, algebra), algebra)
+        scale = np.exp(np.log(ldl[0]).sum(axis=0) - 2.0 * u[:, :-1].sum(axis=1))
+        for mask, cval in grassmann_reduce(g, weight * val).coeffs.items():
+            out[:, mask >> (2 * g.n_inner)] = cval * scale
+    if not all(np.isfinite(c).all() for c in [*weight.coeffs.values(), *val.coeffs.values(), out]):
+        raise EstimationError("Berezin integrand overflowed")
     return out
 
 

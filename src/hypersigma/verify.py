@@ -39,7 +39,6 @@ from .quadrature import (
 from .sampler import (
     ChainConfig,
     Estimate,
-    _tail_saddle,
     _with_s,
     expect,
     expect_importance,
@@ -128,8 +127,8 @@ class Report:
 
 
 def _row(subset, estimate, stderr, reference) -> dict:
-    """A statistical row: z = |estimate - reference| / stderr."""
-    se = max(stderr, STDERR_FLOOR)
+    """A statistical row: z = |estimate - reference| / stderr, as plain Python numbers."""
+    se = float(max(stderr, STDERR_FLOOR))
     est = complex(estimate)
     ref = complex(reference)
     return {
@@ -161,10 +160,12 @@ def _report(spec: CheckSpec, rows, extra=None, exact: bool = True) -> dict:
 
 def _coefficients(x) -> dict:
     """{subset: (mean, stderr)} of an estimate, {subset: value} of a closed
-    form; a number is the coefficient of the empty subset."""
+    form; a dict is already one, a number is the coefficient of the empty subset."""
     if isinstance(x, Estimate):
         mean, stderr = (x.mean, x.stderr) if isinstance(x.mean, dict) else ({(): x.mean}, {(): x.stderr})
         return {k: (m, stderr[k]) for k, m in mean.items()}
+    if isinstance(x, dict):
+        return x
     return dict(x.subsets()) if isinstance(x, GrassmannElement) else {(): x}
 
 
@@ -178,25 +179,24 @@ def _rows_vs_reference(est: Estimate, ref) -> list:
     return [_row(subset, *c.get(subset, (0.0, 0.0)), r.get(subset, 0.0)) for subset in _ordered(c | r)]
 
 
-def _level_rows(spec: CheckSpec, n: int, estimate, label: tuple = (), seed_shift: int = 0):
+def _level_rows(spec: CheckSpec, n: int, estimate):
     """Rows of the same identity at the wired levels n and n + 1.
 
-    `estimate(level, chain)` returns (Estimate, closed form); the two levels run
-    at seeds seed + seed_shift and one more.  Each coefficient gets a row per
-    level against that level's closed form, tagged level_k, and a cross_level
-    row between the two estimates.  Returns the rows and the largest difference
-    between the two closed forms.
+    `estimate(level, chain)` returns (estimate, closed form), each as
+    `_coefficients` takes it; the two levels run at seeds seed and seed + 1.
+    Each coefficient gets a row per level against that level's closed form,
+    tagged level_k, and a cross_level row between the two estimates.  Returns
+    the rows and the largest difference between the two closed forms.
     """
     (e0, r0), (e1, r1) = (
-        map(_coefficients, estimate(k, replace(spec.chain, seed=spec.chain.seed + seed_shift + j)))
-        for j, k in enumerate((n, n + 1))
+        map(_coefficients, estimate(k, replace(spec.chain, seed=spec.chain.seed + j))) for j, k in enumerate((n, n + 1))
     )
     rows = []
     for subset in _ordered(e0 | e1):
         (m0, s0), (m1, s1) = e0.get(subset, (0.0, 0.0)), e1.get(subset, (0.0, 0.0))
-        rows.append(_row(label + subset + (f"level_{n}",), m0, s0, r0.get(subset, 0.0)))
-        rows.append(_row(label + subset + (f"level_{n + 1}",), m1, s1, r1.get(subset, 0.0)))
-        rows.append(_row(label + subset + ("cross_level",), m0, math.hypot(s0, s1), m1))
+        rows.append(_row(subset + (f"level_{n}",), m0, s0, r0.get(subset, 0.0)))
+        rows.append(_row(subset + (f"level_{n + 1}",), m1, s1, r1.get(subset, 0.0)))
+        rows.append(_row(subset + ("cross_level",), m0, math.hypot(s0, s1), m1))
     return rows, max(abs(r0.get(s, 0.0) - r1.get(s, 0.0)) for s in r0 | r1)
 
 
@@ -435,28 +435,18 @@ def _check_radon_nikodym(spec: CheckSpec) -> dict:
     worst = float((np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)).max())
     rows = [_det_row("max_pointwise_residual", worst, spec.tolerance)]
 
-    n_bumps = spec.params.get("n_bumps", 5)
-    for k in range(n_bumps):
-        mu_u = rng.uniform(-0.5, 0.5)
-        mu_s = rng.uniform(-0.5, 0.5)
+    # bump k is centred at (mu_u, mu_s) = mu[k]; each side is one estimate with a column per bump
+    mu = rng.uniform(-0.5, 0.5, (spec.params.get("n_bumps", 5), 2))
 
-        def bump(u, s, mu_u=mu_u, mu_s=mu_s):
-            return np.exp(-((u[:, :-1] - mu_u) ** 2).sum(axis=1) - 0.5 * ((s[:, :-1] - mu_s) ** 2).sum(axis=1))
+    def bumps(u, s):
+        du, ds = u[:, None, :-1] - mu[:, :1], s[:, None, :-1] - mu[:, 1:]
+        return np.exp(-(du**2).sum(axis=2) - 0.5 * (ds**2).sum(axis=2))
 
-        def lhs_obs(u, s, bump=bump):
-            return bump(u, s) * tilt(g, p, u, s)
-
-        def rhs_obs(u, s, bump=bump):
-            u2 = u + np.log(p.a)
-            s2 = s - np.exp(-u) * p.b / p.a
-            return bump(u2, s2)
-
-        cc_l = replace(spec.chain, seed=spec.chain.seed + 2 * k)
-        cc_r = replace(spec.chain, seed=spec.chain.seed + 2 * k + 1)
-        el = expect(g, _with_s(g, lhs_obs, cc_l.seed), cc_l)
-        er = expect(g2, _with_s(g2, rhs_obs, cc_r.seed), cc_r)
-        se = math.hypot(el.stderr, lap * er.stderr)
-        rows.append(_row((f"bump_{k}",), el.mean, se, lap * er.mean))
+    cc_r = replace(spec.chain, seed=spec.chain.seed + 1)
+    el = expect(g, _with_s(g, lambda u, s: bumps(u, s) * tilt(g, p, u, s)[:, None], spec.chain.seed), spec.chain)
+    er = expect(g2, _with_s(g2, lambda u, s: bumps(u + np.log(p.a), s - np.exp(-u) * p.b / p.a), cc_r.seed), cc_r)
+    for k, (ml, sl, mr, sr) in enumerate(zip(el.mean, el.stderr, er.mean, er.stderr)):
+        rows.append(_row((f"bump_{k}",), ml, math.hypot(sl, lap * sr), lap * mr))
     return _report(spec, rows)
 
 
@@ -699,34 +689,28 @@ _DERIVATIVE_J_SETS = {
 def _check_martingale_derivatives(spec: CheckSpec) -> dict:
     """Two-level test of the derivative martingales M_{j_1,...,j_k} under an
     exponential tilt, against the closed form L * prod (a_j - i b_j), for each
-    multiset j (rows labelled by it) at two consecutive wired levels."""
+    multiset j (rows labelled by it) at two consecutive wired levels.  Each
+    level is one importance-sampled estimate with a column per multiset."""
     tower = spec.tower or line_tower()
-    n = spec.params.get("level", 2)
     # damping tilt: entries a >= 1 keep the heavy e^{ku} tails integrable in MC
     tilts = spec.params.get("tilt", {"1": (1.15, 0.2), "2": (1.1, -0.15), "3": (1.05, 0.1)})
-    rows, residual = [], 0.0
-    for k, j_ids in enumerate(spec.params.get("j_sets", _DERIVATIVE_J_SETS[spec.id])):
+    j_sets = spec.params.get("j_sets", _DERIVATIVE_J_SETS[spec.id])
+    labels = [("+".join(j_ids) if j_ids else "unit",) for j_ids in j_sets]
 
-        def estimate(level, chain, j_ids=j_ids):
-            gk = wired_subgraph(tower, level)
-            a, b = _tilt_arrays(gk, tilts)
-            # the observable grows like prod e^{u_{j_p}}, so the mean is dominated
-            # by rare correlated excursions of u; importance sampling with mixture
-            # components along the path to the saddle of log rho + <k, u> covers
-            # both the bulk and the dominating ridge
-            obs = _derivative_martingale_observable(gk, j_ids, a, b)
-            idx = [gk.index_of(v) for v in j_ids]
-            centers = None
-            if j_ids:
-                saddle = _tail_saddle(gk, np.bincount(idx, minlength=gk.n_inner).astype(float))
-                centers = [0.5 * saddle, saddle]
-            ref = laplace_closed_form(gk, ScaleParams(a, b)) * np.prod(a[idx] - 1j * b[idx])
-            return expect_importance(gk, obs, chain, centers=centers), ref
+    def estimate(level, chain):
+        gk = wired_subgraph(tower, level)
+        a, b = _tilt_arrays(gk, tilts)
+        idx = [[gk.index_of(v) for v in j_ids] for j_ids in j_sets]
+        obs = [_derivative_martingale_observable(gk, j_ids, a, b) for j_ids in j_sets]
+        # M_j grows like prod e^{u_{j_p}}: its mean is dominated by rare
+        # correlated excursions of u, along the ridge of the multiset's counts
+        counts = [np.bincount(i, minlength=gk.n_inner) for i in idx]
+        est = expect_importance(gk, lambda u, ldl: np.stack([o(u, ldl) for o in obs], axis=1), chain, counts=counts)
+        lap = laplace_closed_form(gk, ScaleParams(a, b))
+        ref = {label: lap * np.prod(a[i] - 1j * b[i]) for label, i in zip(labels, idx)}
+        return {label: (m, se) for label, m, se in zip(labels, est.mean, est.stderr)}, ref
 
-        label = ("+".join(j_ids) if j_ids else "unit",)
-        level_rows, level_residual = _level_rows(spec, n, estimate, label, seed_shift=10 * k)
-        rows += level_rows
-        residual = max(residual, level_residual)
+    rows, residual = _level_rows(spec, spec.params.get("level", 2), estimate)
     return _report(spec, rows, {"closed_form_residual": residual}, exact=residual <= spec.tolerance)
 
 

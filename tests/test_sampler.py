@@ -36,11 +36,19 @@ from hypersigma import (
 from hypersigma import sampler
 from hypersigma.cli import main
 from hypersigma.core import _avv_logdet, _h_beta_inverse_entries, _h_beta_ldl, build_A, compute_beta, compute_theta
-from hypersigma.sampler import _draw_s, _log_target, _log_target_derivatives, _reduce, _tail_saddle, _with_s
+from hypersigma.sampler import (
+    _berezin_coefficients,
+    _draw_s,
+    _log_target,
+    _log_target_derivatives,
+    _reduce,
+    _tail_saddle,
+    _with_s,
+)
 from hypersigma.quadrature import expect_quadrature_1v
 from hypersigma.scaling import ScaleParams, laplace_closed_form, tilt
 from hypersigma.supersym import _derivative_martingale_observable, _generating_observable, _pairing_exponent
-from hypersigma.verify import _random_graph
+from hypersigma.verify import _martingale_terms, _random_graph
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -126,7 +134,9 @@ def test_super_expect_rejects_nan_observable():
 
 def test_expect_vector_observable_matches_columns():
     """An (N, k) observable gives, per column, exactly the estimate of that
-    column alone on the same draws."""
+    column alone on the same draws.  For `expect_importance` with one count
+    vector per column, that is a one-column run at the same seed and with
+    the same full `counts` list."""
     g = triangle()
     cc = ChainConfig(n_samples=2_000, seed=8)
     cols = [lambda u, s: np.exp(-(u[:, 0] ** 2)), lambda u, s: s[:, 1] ** 2, lambda u, s: u[:, 0] * s[:, 1]]
@@ -137,6 +147,43 @@ def test_expect_vector_observable_matches_columns():
         assert est.mean[k] == one.mean
         assert est.stderr[k] == one.stderr
     assert est.n_effective == min(one.n_effective for one in singles)
+
+    g = wired_subgraph(line_tower(), 3)
+    a, b = np.full(g.n_total, 1.1), np.full(g.n_total, 0.1)
+    j_sets = [(), ("1",), ("1", "1", "2")]
+    cols = [_derivative_martingale_observable(g, j_ids, a, b) for j_ids in j_sets]
+    counts = [np.bincount([g.index_of(v) for v in j_ids], minlength=g.n_inner) for j_ids in j_sets]
+    cc = ChainConfig(n_samples=3_000, seed=8)
+    est = expect_importance(g, lambda u, ldl: np.stack([f(u, ldl) for f in cols], axis=1), cc, counts=counts)
+    assert est.mean.shape == est.stderr.shape == (3,)
+    for k, f in enumerate(cols):
+        one = expect_importance(g, f, cc, counts=counts)
+        assert est.mean[k] == one.mean
+        assert est.stderr[k] == one.stderr
+        assert est.n_effective == one.n_effective
+
+
+def test_expect_importance_centres_a_ridge_on_each_nonzero_count(monkeypatch):
+    """The mixture has the origin and 1/2 and 1 times the saddle of each
+    nonzero count vector; a single vector gives the same estimate as a list
+    holding it."""
+    g = wired_subgraph(line_tower(), 3)
+    built = []
+    original = sampler._proposal_mixture
+    monkeypatch.setattr(sampler, "_proposal_mixture", lambda g, centers: built.append(centers) or original(g, centers))
+    f = _derivative_martingale_observable(g, ("1", "2"), np.full(g.n_total, 1.1), np.full(g.n_total, 0.1))
+    cc = ChainConfig(n_samples=500, seed=2)
+    one = expect_importance(g, f, cc, counts=[1.0, 1.0, 0.0, 0.0])
+    listed = expect_importance(g, f, cc, counts=[[1.0, 1.0, 0.0, 0.0], np.zeros(4), [0.0, 2.0, 0.0, 0.0]])
+    expect_importance(g, f, cc)
+    saddle = _tail_saddle(g, np.array([1.0, 1.0, 0.0, 0.0]))
+    assert [len(c) for c in built] == [3, 5, 1]
+    for centers in built:
+        assert not centers[0].any()
+    assert np.array_equal(built[0][1], 0.5 * saddle) and np.array_equal(built[0][2], saddle)
+    assert np.array_equal(built[1][4], _tail_saddle(g, np.array([0.0, 2.0, 0.0, 0.0])))
+    assert one.mean != listed.mean
+    assert expect_importance(g, f, cc, counts=[[1.0, 1.0, 0.0, 0.0]]).mean == one.mean
 
 
 def test_expect_importance_matches_expect():
@@ -173,8 +220,8 @@ def test_expect_keeps_its_parameter_names():
 
 
 def test_expect_importance_keeps_its_parameter_names():
-    """The benchmark's tracer binds the estimator's arguments by name."""
-    assert list(inspect.signature(expect_importance).parameters)[:4] == ["g", "observable", "cc", "centers"]
+    """The benchmark's tracer binds g, observable and cc by name."""
+    assert list(inspect.signature(expect_importance).parameters) == ["g", "observable", "cc", "counts"]
 
 
 def test_super_expect_keeps_its_parameter_names():
@@ -185,17 +232,19 @@ def test_super_expect_keeps_its_parameter_names():
 def _level3_derivative_case(n_samples, seed=0):
     g = wired_subgraph(line_tower(), 3)
     a, b = np.full(g.n_total, 1.1), np.full(g.n_total, 0.1)
-    saddle = _tail_saddle(g, np.array([2.0, 1.0, 0.0, 0.0]))
     obs = _derivative_martingale_observable(g, ("1", "1", "2"), a, b)
-    return g, obs, ChainConfig(n_samples=n_samples, seed=seed), [0.5 * saddle, saddle]
+    return g, obs, ChainConfig(n_samples=n_samples, seed=seed), np.array([2.0, 1.0, 0.0, 0.0])
 
 
 def test_expect_importance_factors_each_draw_once(monkeypatch):
     """The target density and the derivative observable share one LDL^T of
-    H_beta per chunk of draws."""
+    H_beta per chunk of draws (the saddle search, which factors one point
+    per step, runs before counting starts)."""
     import hypersigma
 
-    g, obs, cc, centers = _level3_derivative_case(sampler.CHUNK_ROWS + 10)
+    g, obs, cc, counts = _level3_derivative_case(sampler.CHUNK_ROWS + 10)
+    saddle = _tail_saddle(g, counts)
+    monkeypatch.setattr(sampler, "_tail_saddle", lambda g, c: saddle)
     rows = []
     original = hypersigma.core._h_beta_ldl
 
@@ -205,16 +254,16 @@ def test_expect_importance_factors_each_draw_once(monkeypatch):
 
     for mod in (hypersigma.core, sampler):
         monkeypatch.setattr(mod, "_h_beta_ldl", counting)
-    expect_importance(g, obs, cc, centers=centers)
+    expect_importance(g, obs, cc, counts=counts)
     assert rows == [sampler.CHUNK_ROWS, 10]
 
 
 def test_expect_importance_is_chunk_invariant(monkeypatch):
     """Chunking changes only the rounding of the estimate."""
-    g, obs, cc, centers = _level3_derivative_case(5_000, seed=7)
-    default = expect_importance(g, obs, cc, centers=centers)
+    g, obs, cc, counts = _level3_derivative_case(5_000, seed=7)
+    default = expect_importance(g, obs, cc, counts=counts)
     monkeypatch.setattr(sampler, "CHUNK_ROWS", 1_000)
-    small = expect_importance(g, obs, cc, centers=centers)
+    small = expect_importance(g, obs, cc, counts=counts)
     assert abs(small.mean - default.mean) <= 1e-12 * abs(default.mean)
     assert abs(small.stderr - default.stderr) <= 1e-12 * default.stderr
     assert abs(small.n_effective - default.n_effective) <= 1e-12 * default.n_effective
@@ -556,12 +605,29 @@ def test_ldl_kernel_matches_dense_references(name):
         assert np.abs(entries - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def _superfunctions(g):
+    """(superfunction, parameter algebra) of the ward and laplace-grassmann
+    checks on g: alpha -1 on the first inner vertex and odd sources on the
+    first two; the tilt (1.2, 0.3) on every inner vertex, with odd parts on
+    the first."""
+    inner = g.vertex_ids[:-1]
+    taus = GeneratorSet([f"tau_{v}" for v in inner[:2]])
+    tau = {v: taus.gen(f"tau_{v}") * c for v, c in zip(inner[:2], (0.8, 0.6))}
+    odd = GeneratorSet(["cb_1", "c_1"])
+    quads = {v: (1.2, 0.3, odd.zero(), odd.zero()) for v in inner}
+    quads[inner[0]] = (1.2, 0.3, odd.gen("cb_1") * 0.8, odd.gen("c_1") * 0.6)
+    ward = _martingale_terms(g, np.append(-1.0, np.zeros(g.n_inner)), tau, {}, taus)[0]
+    return (ward, taus), (_martingale_terms(g, np.zeros(g.n_total), {}, quads, odd)[0], odd)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(FIXTURES), st.data())
 def test_field_kernels_are_finite_or_raise_at_extreme_u(name, data):
-    """At |u| up to 700 the log det, the log target, the s-draw and the tilt,
+    """At |u| up to 700 the log det, the log target, the s-draw, the tilt,
     generating and derivative observables of the conditional-Gaussian kernel
-    return finite values or raise EstimationError, without a RuntimeWarning."""
+    and the Berezin coefficients of the ward and laplace-grassmann
+    superfunctions (up to 4 inner vertices) return finite values or raise
+    EstimationError, without a RuntimeWarning."""
     g = _fixture(name)
     u = np.array(data.draw(st.lists(st.floats(-700.0, 700.0), min_size=g.n_inner, max_size=g.n_inner)))
     z = np.random.default_rng(0).standard_normal(g.n_inner)
@@ -579,6 +645,11 @@ def test_field_kernels_are_finite_or_raise_at_extreme_u(name, data):
             lambda: _log_target(g, u[None], _h_beta_ldl(g, u[None])),
             lambda: _draw_s(g, u, z, _h_beta_ldl(g, u)),
         ) + tuple(lambda obs=obs: obs(np.append(u, 0.0)[None], _h_beta_ldl(g, u[None])) for obs in observables)
+        fields = np.append(u, 0.0)[None], np.append(z, 0.0)[None]
+        kernels += tuple(
+            lambda f=f, alg=alg: _berezin_coefficients(g, f, *fields, alg, _h_beta_ldl(g, u[None]))
+            for f, alg in (_superfunctions(g) if g.n_inner <= 4 else ())
+        )
         for kernel in kernels:
             try:
                 out = kernel()
@@ -610,9 +681,8 @@ def test_estimators_build_no_dense_A_VV(monkeypatch):
         expect(g, _with_s(g, lambda u, s: tilt(g, p, u, s), 0), ChainConfig(n_samples=sampler.CHUNK_ROWS + 10, seed=0))
     g = wired_subgraph(line_tower(), 3)
     a, b = np.full(g.n_total, 1.1), np.full(g.n_total, 0.1)
-    saddle = _tail_saddle(g, np.array([2.0, 1.0, 0.0, 0.0]))
     obs = _derivative_martingale_observable(g, ("1", "1", "2"), a, b)
-    expect_importance(g, obs, ChainConfig(n_samples=5_000, seed=0), centers=[0.5 * saddle, saddle])
+    expect_importance(g, obs, ChainConfig(n_samples=5_000, seed=0), counts=[2.0, 1.0, 0.0, 0.0])
     params = GeneratorSet(["cb_1", "c_1"])
     chibar = [params.gen("cb_1") * 0.3] * g.n_inner + [0.0]
     chi = [params.gen("c_1") * -0.2] * g.n_inner + [0.0]

@@ -147,11 +147,14 @@ def test_martingale_closed_form_keeps_the_soul_of_a():
 
 
 def test_rows_of_a_report_have_distinct_subsets():
-    """Every row of every registered check can be told apart by its subset."""
+    """Every row of every registered check can be told apart by its subset,
+    and its stderr and z are Python floats (numpy scalars would make sums of
+    comparisons of them numpy integers, which json cannot write)."""
     for cid, spec in default_specs(seed=0).items():
         rep = run_check(replace(spec, chain=replace(spec.chain, n_samples=2_000)))
         subsets = [tuple(r["subset"]) for r in rep.coefficients]
         assert len(set(subsets)) == len(subsets), (cid, subsets)
+        assert all(type(r["stderr"]) is float and type(r["z"]) is float for r in rep.coefficients), cid
 
 
 def test_importance_sampled_check_does_not_import_scipy():
@@ -192,3 +195,40 @@ def test_closed_form_comparisons_use_the_spec_tolerance(monkeypatch):
             rep = run_check(CheckSpec(cid, chain=cc, tolerance=tol, z_threshold=1e9))
             assert 1e-14 < rep.extra["closed_form_residual"] < 1e-12, cid
             assert rep.verdict == verdict, cid
+
+
+@pytest.mark.parametrize("cid", ["martingale-derivatives", "martingale-special-cases"])
+def test_derivative_checks_draw_each_level_once(monkeypatch, cid):
+    """Every multiset of a level is a column of one importance-sampled
+    estimate, at seeds seed and seed + 1."""
+    calls = []
+    estimate = verify.expect_importance
+
+    def counting(g, observable, cc, counts=None):
+        calls.append((g.n_inner, cc.seed, len(counts)))
+        return estimate(g, observable, cc, counts)
+
+    monkeypatch.setattr(verify, "expect_importance", counting)
+    rep = run_check(replace(default_specs(seed=3)[cid], chain=ChainConfig(n_samples=2_000, seed=3)))
+    assert calls == [(3, 3, 3), (4, 4, 3)]
+    labels = ["+".join(j) for j in verify._DERIVATIVE_J_SETS[cid]]
+    tags = ["level_2", "level_3", "cross_level"]
+    assert [r["subset"] for r in rep.coefficients] == [[label, tag] for label in labels for tag in tags]
+
+
+def test_radon_nikodym_draws_each_side_once(monkeypatch):
+    """All bumps of a side are read from one batch of draws."""
+    from hypersigma import sampler
+
+    calls = []
+    stz_u = sampler._stz_u
+
+    def counting(g, n, rng):
+        calls.append((g.n_inner, n))
+        return stz_u(g, n, rng)
+
+    monkeypatch.setattr(sampler, "_stz_u", counting)
+    spec = replace(default_specs(seed=3)["radon-nikodym"], chain=ChainConfig(n_samples=2_000, seed=3))
+    rep = run_check(spec)
+    assert calls == [(2, 2_000), (2, 2_000)]
+    assert [r["subset"] for r in rep.coefficients] == [["max_pointwise_residual"], ["bump_0"], ["bump_1"], ["bump_2"]]
