@@ -259,14 +259,21 @@ def spinor_det_sides(vi, vj):
     A point v = [a, b] with a > 0 is the matrix [[a, b], [0, 1]].  Returns
     (det(v_i v_i^t / a_i - v_j v_j^t / a_j),
      2 - ||v_i^t eps v_j||_F^2 / (a_i a_j)) with eps = [[0, -1], [1, 0]].
+    a and b may be arrays of one shape, for as many pairs of points; the sides
+    then have that shape.
     """
-    ai, bi = vi
-    aj, bj = vj
-    mi = np.array([[ai, bi], [0.0, 1.0]])
-    mj = np.array([[aj, bj], [0.0, 1.0]])
-    d = mi @ mi.T / ai - mj @ mj.T / aj
-    lhs = d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0]  # ad - bc, as in log_rho_density
+    ai, bi = np.asarray(vi[0], dtype=float), np.asarray(vi[1], dtype=float)
+    aj, bj = np.asarray(vj[0], dtype=float), np.asarray(vj[1], dtype=float)
+
+    def point(a, b):
+        m = np.zeros(a.shape + (2, 2))
+        m[..., 0, 0], m[..., 0, 1], m[..., 1, 1] = a, b, 1.0
+        return m
+
+    mi, mj = point(ai, bi), point(aj, bj)
+    d = mi @ mi.swapaxes(-1, -2) / ai[..., None, None] - mj @ mj.swapaxes(-1, -2) / aj[..., None, None]
+    lhs = d[..., 0, 0] * d[..., 1, 1] - d[..., 0, 1] * d[..., 1, 0]  # ad - bc, as in log_rho_density
     eps = np.array([[0.0, -1.0], [1.0, 0.0]])
-    cross = mi.T @ eps @ mj
-    rhs = 2.0 - (cross**2).sum() / (ai * aj)
-    return float(lhs), float(rhs)
+    cross = mi.swapaxes(-1, -2) @ eps @ mj
+    rhs = 2.0 - (cross**2).sum(axis=(-2, -1)) / (ai * aj)
+    return lhs[()], rhs[()]

@@ -2,14 +2,17 @@
 
 Tensor Gauss-Legendre panels over (u, s) in horospherical coordinates (with a
 u-dependent rescaling of s matching the local Gaussian width) and over (x, y)
-in cartesian coordinates.  Grassmann sectors are reduced symbolically, once
-per batch of quadrature nodes (coefficients are arrays over the nodes), so
-these integrals are exact up to quadrature error and serve as oracles for
-the Monte-Carlo estimators.
+in cartesian coordinates.  Each oracle call lays out its whole grid once and
+evaluates the density, the observable and, for superfunctions, the fermion
+weight and the Berezin reduction once on all of its nodes (Grassmann
+coefficients are arrays over the nodes), so these integrals are exact up to
+quadrature error and serve as oracles for the Monte-Carlo estimators.  The
+Gauss-Legendre nodes of each order are computed once and shared read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -32,8 +35,16 @@ def _check_single_inner(g: Graph):
         raise ValueError("quadrature oracle requires exactly one inner vertex")
 
 
-def _gauss_grid(lo: float, hi: float, n: int):
+@functools.cache
+def _legendre(n: int):
+    """Gauss-Legendre nodes and weights of order n on [-1, 1], read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_grid(lo: float, hi: float, n: int):
+    x, w = _legendre(n)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
@@ -43,41 +54,47 @@ def _total_weight(g: Graph) -> float:
 
 
 def _horospherical_rows(g: Graph, n_u: int, n_t: int, u_lim: float, t_lim: float):
-    """Gauss-Legendre nodes of the (u, s) plane, one u-row at a time.
+    """Gauss-Legendre nodes of the (u, s) plane, laid out once for all u-rows.
 
-    s = t e^{-u/2} / sqrt(W_tot) matches the conditional Gaussian width.  Per
-    row yields (u, s, w): the fields of shape (k, n_total) and the weights
-    rho e^{-u} du ds / (2 pi) of the k nodes whose log rho is not below
-    LOG_UNDERFLOW; rows without such nodes are skipped.
+    s = t e^{-u/2} / sqrt(W_tot) matches the conditional Gaussian width.
+    Returns (u, s, w, rows): the fields of shape (M, n_total) and the weights
+    rho e^{-u} du ds / (2 pi) of the M nodes whose log rho is not below
+    LOG_UNDERFLOW, in u-row order, and one slice of them per u-row that keeps
+    any node.
     """
     _check_single_inner(g)
     w_tot = _total_weight(g)
     u_nodes, u_w = _gauss_grid(-u_lim, u_lim, n_u)
     t_nodes, t_w = _gauss_grid(-t_lim, t_lim, n_t)
-    u = np.zeros((n_t, 2))
-    s = np.zeros((n_t, 2))
-    for u1, wu in zip(u_nodes, u_w):
-        sigma = math.exp(-0.5 * u1) / math.sqrt(w_tot)
-        u[:, 0] = u1
-        s[:, 0] = t_nodes * sigma
-        log_rho = _log_rho(g, u, s)
-        keep = log_rho >= LOG_UNDERFLOW
-        if keep.any():
-            w = t_w[keep] * np.exp(log_rho[keep]) * (wu * sigma * math.exp(-u1) / (2.0 * math.pi))
-            yield u[keep], s[keep], w
+    # math.exp, not np.exp, whose last bit differs on some nodes: the oracles'
+    # values are pinned to the bit by the reports at fixed seeds
+    sigma = np.array([math.exp(-0.5 * u1) / math.sqrt(w_tot) for u1 in u_nodes])
+    row_w = np.array([wu * sg * math.exp(-u1) / (2.0 * math.pi) for u1, wu, sg in zip(u_nodes, u_w, sigma)])
+    u = np.zeros((n_u, n_t, 2))
+    s = np.zeros((n_u, n_t, 2))
+    u[:, :, 0] = u_nodes[:, None]
+    s[:, :, 0] = t_nodes * sigma[:, None]
+    log_rho = _log_rho(g, u, s)
+    keep = log_rho >= LOG_UNDERFLOW
+    counts = keep.sum(axis=1)
+    w = np.broadcast_to(t_w, keep.shape)[keep] * np.exp(log_rho[keep]) * np.repeat(row_w, counts)
+    rows = [slice(end - k, end) for end, k in zip(np.cumsum(counts), counts) if k]
+    return u[keep], s[keep], w, rows
 
 
 def expect_quadrature_1v(g: Graph, f, n_u: int = 240, n_t: int = 120, u_lim: float = 12.0, t_lim: float = 10.0):
     """E[f(u, s)] on a single-inner-vertex graph.
 
-    `f(u, s)`, unlike `expect`'s observables of (u, ldl), takes (N, n_total)
-    arrays of both fields and returns a vector of length N, or an (N, k) array
-    of k observables, whose k expectations are returned.  It is called once
-    per u-row of the grid, on the nodes where rho does not underflow.
+    `f(u, s)`, unlike `expect`'s observables of (u, ldl), takes (M, n_total)
+    arrays of both fields and returns a vector of length M, or an (M, k) array
+    of k observables, whose k expectations are returned.  It is called once,
+    on all nodes of the grid where rho does not underflow; the weighted values
+    are summed one u-row at a time and the row sums added in u order.
     """
+    u, s, w, rows = _horospherical_rows(g, n_u, n_t, u_lim, t_lim)
     # each row of the transpose is summed contiguously, as a single observable is
-    rows = _horospherical_rows(g, n_u, n_t, u_lim, t_lim)
-    return sum((w * np.ascontiguousarray(np.transpose(f(u, s)))).sum(axis=-1) for u, s, w in rows)
+    terms = w * np.ascontiguousarray(np.transpose(f(u, s)))
+    return sum(terms[..., row].sum(axis=-1) for row in rows)
 
 
 def super_expect_quadrature_1v(
@@ -92,9 +109,9 @@ def super_expect_quadrature_1v(
     """Superintegral of f over a single-inner-vertex graph.
 
     f has the sampler evaluator signature (u, s, psibar, psi, algebra) and is
-    called once per u-row, with u and s of shape (n_total, k) over the row's
-    k nodes; the fermionic sector is reduced exactly by Berezin derivatives
-    against e^{-<psibar, A psi>} and normalized by det A_VV
+    called once, with u and s of shape (n_total, M) over the grid's M nodes
+    (`expect_quadrature_1v`); the fermionic sector is reduced exactly by
+    Berezin derivatives against e^{-<psibar, A psi>} and normalized by det A_VV
     (`_berezin_coefficients`), and the coefficients are integrated against
     rho e^{-u}/(2 pi).  Returns an element of the parameter algebra.
     """

@@ -299,10 +299,16 @@ def _proposal_mixture(g: Graph, centers):
         return (z @ factors).reshape(len(z), nc, n)[np.arange(len(z)), pick] + centers[pick]
 
     def log_q(u_t):
-        z = (whiten @ u_t - offset).reshape(nc, n, -1)
-        comps = -0.5 * np.einsum("kin,kin->kn", z, z) - log_norm
+        z = whiten @ u_t
+        z -= offset
+        z *= z
+        comps = z.reshape(nc, n, -1).sum(axis=1)
+        comps *= -0.5
+        comps -= log_norm
         top = comps.max(axis=0)
-        return top + np.log(np.exp(comps - top).sum(axis=0))
+        comps -= top
+        np.exp(comps, out=comps)
+        return top + np.log(comps.sum(axis=0))
 
     return draw, log_q
 

@@ -168,9 +168,26 @@ def _generating_observable(gk: Graph, alpha, tilt_a, tilt_b):
     return _tilt_kernel(gk, tilt_a, tilt_b, list(range(gk.n_inner)), reduce)
 
 
+def _wick_positions(gk: Graph, j_sets):
+    """The sorted vertex indices of the union of the multisets j_sets, and per
+    multiset the positions of its vertex ids among them."""
+    cols = sorted({gk.index_of(v) for j_ids in j_sets for v in j_ids})
+    return cols, [tuple(cols.index(gk.index_of(v)) for v in j_ids) for j_ids in j_sets]
+
+
 def _derivative_martingale_observable(gk: Graph, j_ids, tilt_a, tilt_b):
     """E[M_{j_1..j_k} tilt | u] = E[prod_p X_{j_p} tilt | u] by `_wick`, for a
     multiset j_ids of vertex ids; the empty one gives the weight, E[tilt | u]."""
-    cols = sorted({gk.index_of(v) for v in j_ids})
-    pos = tuple(cols.index(gk.index_of(v)) for v in j_ids)
+    cols, (pos,) = _wick_positions(gk, [j_ids])
     return _tilt_kernel(gk, tilt_a, tilt_b, cols, lambda weight, mean, cov: _wick(mean, cov, pos) * weight)
+
+
+def _derivative_martingale_columns(gk: Graph, j_sets, tilt_a, tilt_b):
+    """The (N, len(j_sets)) observable whose column k is
+    `_derivative_martingale_observable(gk, j_sets[k], tilt_a, tilt_b)`, from
+    one tilt kernel over the union of the multisets' vertices, so the weight
+    and the entries of H_beta^{-1} are computed once per chunk."""
+    cols, pos = _wick_positions(gk, j_sets)
+    return _tilt_kernel(
+        gk, tilt_a, tilt_b, cols, lambda weight, mean, cov: np.stack([_wick(mean, cov, p) * weight for p in pos], axis=1)
+    )

@@ -147,6 +147,16 @@ def test_spinor_identity_property(la_i, b_i, la_j, b_j):
     assert abs(lhs - rhs) < 1e-10
 
 
+def test_spinor_sides_of_arrays_match_scalar_calls():
+    rng = np.random.default_rng(5)
+    la_i, b_i, la_j, b_j = rng.uniform([-1.5, -2.0, -1.5, -2.0], [1.5, 2.0, 1.5, 2.0], (200, 4)).T
+    a_i, a_j = np.exp(la_i), np.exp(la_j)
+    lhs, rhs = spinor_det_sides((a_i, b_i), (a_j, b_j))
+    assert lhs.shape == rhs.shape == (200,)
+    ref = np.array([spinor_det_sides((a_i[k], b_i[k]), (a_j[k], b_j[k])) for k in range(200)])
+    assert np.array_equal(lhs, ref[:, 0]) and np.array_equal(rhs, ref[:, 1])
+
+
 def test_spinor_identity_hand_case():
     lhs, rhs = spinor_det_sides((1.0, 0.0), (1.0, 1.0))
     assert lhs == pytest.approx(-1.0, abs=1e-14)

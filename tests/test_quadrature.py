@@ -9,7 +9,9 @@ from hypersigma import GeneratorSet, single_edge
 from hypersigma.core import LOG_UNDERFLOW, _log_rho
 from hypersigma import sampler
 from hypersigma.quadrature import (
+    _gauss_grid,
     _horospherical_rows,
+    _legendre,
     cartesian_expect_quadrature_1v,
     expect_quadrature_1v,
     super_expect_quadrature_1v,
@@ -94,16 +96,76 @@ def test_vector_observable_matches_columns():
         assert val[k] == expect_quadrature_1v(g, f)
 
 
-def test_super_quadrature_builds_one_fermion_weight_per_row(monkeypatch):
-    """All nodes of a u-row share u, so each row builds the fermion weight once."""
+def _per_row_quadrature(g, f, n_u, n_t, u_lim, t_lim):
+    """The oracle one u-row at a time: f on each row's unmasked nodes, the
+    weighted values summed per row and the row sums added in u order."""
+    u_nodes, u_w = _gauss_grid(-u_lim, u_lim, n_u)
+    t_nodes, t_w = _gauss_grid(-t_lim, t_lim, n_t)
+    u, s = np.zeros((n_t, 2)), np.zeros((n_t, 2))
+    total = 0
+    for u1, wu in zip(u_nodes, u_w):
+        sigma = math.exp(-0.5 * u1) / math.sqrt(g.weights[0].sum())
+        u[:, 0], s[:, 0] = u1, t_nodes * sigma
+        log_rho = _log_rho(g, u, s)
+        keep = log_rho >= LOG_UNDERFLOW
+        if keep.any():
+            w = t_w[keep] * np.exp(log_rho[keep]) * (wu * sigma * math.exp(-u1) / (2.0 * math.pi))
+            total = total + (w * np.ascontiguousarray(f(u[keep], s[keep]).T)).sum(axis=-1)
+    return total
+
+
+def test_batched_quadrature_equals_the_per_row_loop():
+    """On a grid whose outer rows are partly masked, one call on all nodes
+    gives the per-row loop's sums bit for bit, column by column."""
+    g = single_edge()
+    grid = dict(n_u=14, n_t=9, u_lim=12.0, t_lim=45.0)
+
+    def f(u, s):
+        return np.stack([np.exp(-(u[:, 0] ** 2) - 0.5 * s[:, 0] ** 2), np.cos(s[:, 0]), u[:, 0] * s[:, 0]], axis=1)
+
+    val = expect_quadrature_1v(g, f, **grid)
+    assert val.shape == (3,)
+    assert np.array_equal(val, _per_row_quadrature(g, f, **grid))
+
+
+def test_quadrature_calls_the_observable_once():
+    g = single_edge()
+    calls = []
+
+    def f(u, s):
+        calls.append(len(u))
+        return np.exp(-(u[:, 0] ** 2))
+
+    grid = dict(n_u=12, n_t=8, u_lim=12.0, t_lim=10.0)
+    expect_quadrature_1v(g, f, **grid)
+    _, _, w, rows = _horospherical_rows(g, **grid)
+    assert calls == [len(w)] and len(rows) > 1
+
+
+def test_super_quadrature_builds_one_fermion_weight_per_call(monkeypatch):
+    """All nodes of the grid share one fermion weight and one Berezin reduction."""
     g = single_edge()
     calls = []
     build = sampler.fermion_weight
-    monkeypatch.setattr(sampler, "fermion_weight", lambda *args: calls.append(args[1]) or build(*args))
+    monkeypatch.setattr(sampler, "fermion_weight", lambda *args: calls.append(args[1].shape) or build(*args))
     grid = dict(n_u=12, n_t=8, u_lim=11.0, t_lim=9.0)
-    super_expect_quadrature_1v(g, lambda u, s, psibar, psi, algebra: algebra.one(), GeneratorSet([]), **grid)
-    rows = list(_horospherical_rows(g, **grid))
-    assert len(calls) == len(rows) < sum(len(w) for _, _, w in rows)
+    val = super_expect_quadrature_1v(g, lambda u, s, psibar, psi, algebra: algebra.one(), GeneratorSet([]), **grid)
+    _, _, w, rows = _horospherical_rows(g, **grid)
+    assert calls == [(2, len(w))] and len(rows) > 1
+    # the Berezin integral of the weight is 1 at each node, as det A_VV normalises it
+    assert val.body == pytest.approx(expect_quadrature_1v(g, lambda u, s: 1.0, **grid), rel=1e-12)
+
+
+def test_gauss_legendre_nodes_are_cached_read_only():
+    x, w = _legendre(17)
+    assert _legendre(17)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    ref_x, ref_w = np.polynomial.legendre.leggauss(17)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    nodes, weights = _gauss_grid(-2.0, 2.0, 17)
+    assert nodes.flags.writeable and np.array_equal(nodes, 2.0 * ref_x)
 
 
 def test_cartesian_normalization_is_one():

@@ -36,8 +36,8 @@ from hypersigma import (
 from hypersigma.core import _h_beta_ldl, compute_beta
 from hypersigma.sampler import expect_importance
 from hypersigma.scaling import ScaleParams, laplace_closed_form, tilt
-from hypersigma.supersym import _derivative_martingale_observable, _generating_observable
-from hypersigma.verify import _random_graph, _tilt_arrays
+from hypersigma.supersym import _derivative_martingale_columns, _derivative_martingale_observable, _generating_observable
+from hypersigma.verify import _DERIVATIVE_J_SETS, _random_graph, _tilt_arrays
 
 
 def random_fields(rng, n, scale=0.8):
@@ -221,6 +221,20 @@ def test_wick_observable_matches_the_hand_expansion(level):
             new = _derivative_martingale_observable(gk, j_ids, a, b)(u, _h_beta_ldl(gk, u[:, :-1]))
             ref = _hand_expanded_observable(gk, j_ids, a, b)(u)
             assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max(), j_ids
+
+
+@pytest.mark.parametrize("check", sorted(_DERIVATIVE_J_SETS))
+@pytest.mark.parametrize("level", [2, 3])
+def test_shared_derivative_kernel_matches_each_multiset(check, level):
+    """One tilt kernel over the union of the multisets' vertices gives, per
+    column, the single-multiset observable bit for bit."""
+    gk, u, a, b = _level_fields(level, rows=200)
+    ldl = _h_beta_ldl(gk, u[:, :-1])
+    j_sets = _DERIVATIVE_J_SETS[check] + [()]
+    cols = _derivative_martingale_columns(gk, j_sets, a, b)(u, ldl)
+    assert cols.shape == (len(u), len(j_sets))
+    for k, j_ids in enumerate(j_sets):
+        assert np.array_equal(cols[:, k], _derivative_martingale_observable(gk, j_ids, a, b)(u, ldl)), j_ids
 
 
 def _perfect_matchings(items):
